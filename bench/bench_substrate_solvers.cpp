@@ -57,7 +57,7 @@ void BM_sat_pigeonhole_portfolio(benchmark::State& state) {
                 encode_pigeonhole(b->solver(), holes);
                 return b;
             },
-            cfg);
+            cfg, nullptr);
         if (!outcome.result.is_unsat()) state.SkipWithError("pigeonhole must be unsat");
         benchmark::DoNotOptimize(outcome.winner);
     }
@@ -82,13 +82,14 @@ void BM_sat_pigeonhole_sharded(benchmark::State& state) {
         sat::solver prototype;
         encode_pigeonhole(prototype, holes);
         auto plan = substrate::generate_cubes(prototype, {.depth = depth});
+        substrate::thread_pool pool(4);
         auto outcome = substrate::solve_cubes(
-            [&] {
+            [&](std::size_t) {
                 auto b = std::make_unique<substrate::sat_backend>();
                 encode_pigeonhole(b->solver(), holes);
                 return b;
             },
-            plan, /*threads=*/4);
+            plan, pool);
         if (!outcome.result.is_unsat()) {
             state.SkipWithError("pigeonhole must be unsat");
             break;
@@ -135,7 +136,7 @@ void BM_sat_pigeonhole_shard_sharing(benchmark::State& state) {
         sat::solver prototype;
         encode_pigeonhole(prototype, holes);
         auto plan = substrate::generate_cubes(prototype, {.depth = depth, .probe_candidates = 8});
-        auto factory = [&] {
+        auto factory = [&](std::size_t) {
             auto b = std::make_unique<substrate::sat_backend>();
             encode_pigeonhole(b->solver(), holes);
             return b;
@@ -147,7 +148,8 @@ void BM_sat_pigeonhole_shard_sharing(benchmark::State& state) {
         share.max_clause_size = 16;
         share.max_lbd = 16;
         share.max_import_per_checkpoint = 64;
-        auto shared = substrate::solve_cubes(factory, plan, /*threads=*/4, share);
+        substrate::thread_pool pool(4);
+        auto shared = substrate::solve_cubes(factory, plan, pool, share);
         if (!shared.result.is_unsat()) {
             state.SkipWithError("pigeonhole must be unsat");
             break;
@@ -157,7 +159,7 @@ void BM_sat_pigeonhole_shard_sharing(benchmark::State& state) {
         counters.imported += shared.stats.sharing.imported;
         counters.useful_imports += shared.stats.sharing.useful_imports;
         state.PauseTiming();
-        auto unshared = substrate::solve_cubes(factory, plan, /*threads=*/4);
+        auto unshared = substrate::solve_cubes(factory, plan, pool);
         unshared_conflicts += unshared.stats.conflicts;
         state.ResumeTiming();
         if (!unshared.result.is_unsat()) {
@@ -206,7 +208,7 @@ void BM_sat_pigeonhole_portfolio_sharing(benchmark::State& state) {
         cfg.sharing.max_lbd = 16;
         cfg.sharing.max_import_per_checkpoint = 16;
         cfg.sharing.enabled = true;
-        auto shared = substrate::race(factory, cfg);
+        auto shared = substrate::race(factory, cfg, nullptr);
         if (!shared.result.is_unsat()) {
             state.SkipWithError("pigeonhole must be unsat");
             break;
@@ -217,7 +219,7 @@ void BM_sat_pigeonhole_portfolio_sharing(benchmark::State& state) {
         counters.useful_imports += shared.sharing.useful_imports;
         state.PauseTiming();
         cfg.sharing.enabled = false;
-        auto unshared = substrate::race(factory, cfg);
+        auto unshared = substrate::race(factory, cfg, nullptr);
         unshared_conflicts += unshared.total_conflicts;
         state.ResumeTiming();
         if (!unshared.result.is_unsat()) {
@@ -451,22 +453,19 @@ BENCHMARK(BM_smt_repeated_query_cached)->Arg(8)->Arg(12)->Unit(benchmark::kMicro
 void BM_smt_batch_feasibility(benchmark::State& state) {
     const unsigned threads = static_cast<unsigned>(state.range(0));
     smt::term_manager tm;
-    std::vector<substrate::smt_query> queries;
+    std::vector<substrate::solve_request> queries;
     smt::term x = tm.mk_bv_var("x", 16);
     smt::term y = tm.mk_bv_var("y", 16);
-    for (std::uint64_t i = 0; i < 64; ++i) {
-        substrate::smt_query q;
-        q.assertions = {tm.mk_eq(tm.mk_bvmul(x, y), tm.mk_bv_const(16, 6 + i)),
-                        tm.mk_ult(tm.mk_bv_const(16, 1), x)};
-        queries.push_back(std::move(q));
-    }
+    for (std::uint64_t i = 0; i < 64; ++i)
+        queries.push_back({{tm.mk_eq(tm.mk_bvmul(x, y), tm.mk_bv_const(16, 6 + i)),
+                            tm.mk_ult(tm.mk_bv_const(16, 1), x)},
+                           {},
+                           substrate::strategy::single()});
     for (auto _ : state) {
         substrate::smt_engine engine(tm, {.use_cache = false, .threads = threads});
         std::vector<substrate::query_handle> handles;
         handles.reserve(queries.size());
-        for (const auto& q : queries)
-            handles.push_back(engine.submit(
-                {q.assertions, q.assumptions, substrate::strategy::single()}));
+        for (const auto& q : queries) handles.push_back(engine.submit(q));
         std::size_t decided = 0;
         for (auto& h : handles) decided += h.get().ans != substrate::answer::unknown;
         benchmark::DoNotOptimize(decided);
@@ -535,9 +534,9 @@ BENCHMARK(BM_smt_engine_auto_strategy)->Unit(benchmark::kMillisecond);
 // the CI warm-cache step drives it — answers from disk with zero solver
 // runs, via structurally remapped, evaluation-verified models (the
 // variable names differ per iteration on purpose). Counters (per
-// iteration): solver_runs, cache_hits, structural_hits, remapped_models,
-// persisted_loads — the JSON artifact's warm-vs-cold evidence is
-// persisted_loads > 0 and solver_runs ~ 0 on the second run.
+// iteration): solver_runs, cache_hits, remapped_models, persisted_loads —
+// the JSON artifact's warm-vs-cold evidence is persisted_loads > 0 and
+// solver_runs ~ 0 on the second run.
 // Set SCIDUCTION_BENCH_CACHE_PATH to persist across runs (CI does);
 // otherwise a scratch file is used and removed.
 void BM_smt_engine_persistent_cache(benchmark::State& state) {
@@ -548,7 +547,6 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
             : (std::filesystem::temp_directory_path() / "bench_persistent_cache.bin").string();
     std::uint64_t solver_runs = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t structural_hits = 0;
     std::uint64_t remapped = 0;
     std::uint64_t persisted = 0;
     std::uint64_t iteration = 0;
@@ -572,15 +570,12 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
         auto stats = engine.stats();
         solver_runs += stats.solver_runs;
         cache_hits += stats.cache_hits;
-        structural_hits += stats.structural_hits;
         remapped += stats.remapped_models;
         persisted += stats.persisted_loads;
     }
     const auto iters = static_cast<double>(state.iterations());
     state.counters["solver_runs"] = benchmark::Counter(static_cast<double>(solver_runs) / iters);
     state.counters["cache_hits"] = benchmark::Counter(static_cast<double>(cache_hits) / iters);
-    state.counters["structural_hits"] =
-        benchmark::Counter(static_cast<double>(structural_hits) / iters);
     state.counters["remapped_models"] = benchmark::Counter(static_cast<double>(remapped) / iters);
     state.counters["persisted_loads"] = benchmark::Counter(static_cast<double>(persisted) / iters);
     if (env_path == nullptr) std::remove(path.c_str());

@@ -701,7 +701,6 @@ void solver::inprocess() {
     simplify_assigns_ = trail_.size();
     if (ok_) subsume_pass();
     if (ok_ && opts_.inprocess_elim) eliminate_vars();
-    if (ok_ && opts_.inprocess_vivify) vivify_pass();
     next_inprocess_ = stats_.conflicts + opts_.inprocess_interval;
     maybe_collect_garbage();
 }
@@ -998,88 +997,6 @@ void solver::eliminate_vars() {
         }
         learnts_.resize(lkeep);
     }
-}
-
-void solver::vivify_pass() {
-    std::uint64_t budget = opts_.vivify_budget;
-    clause_lits lits;
-    clause_lits kept;
-    for (std::size_t ci = 0; ci < clauses_.size() && budget > 0 && ok_; ++ci) {
-        const cref c = clauses_[ci];
-        const std::uint32_t sz = clause_size(c);
-        if (sz < 3) continue;  // binaries: nothing to shorten against
-        lits.clear();
-        bool satisfied = false;
-        for (std::uint32_t k = 0; k < sz; ++k) {
-            const lit lk = clause_lit(c, k);
-            if (value(lk) == lbool::l_true) satisfied = true;
-            lits.push_back(lk);
-        }
-        if (satisfied) continue;  // level-0 satisfied: remove_satisfied's job
-
-        // Assume the negation of a prefix; a conflict or an implied
-        // literal proves a shorter clause that subsumes this one.
-        detach_clause(c);
-        new_decision_level();
-        kept.clear();
-        bool aborted = false;  // budget ran out: the unexamined tail must stay
-        std::size_t k = 0;
-        for (; k < lits.size(); ++k) {
-            const lit l = lits[k];
-            const lbool vl = value(l);
-            if (vl == lbool::l_true) {
-                kept.push_back(l);  // prefix negations imply l: prefix + l suffices
-                break;
-            }
-            if (vl == lbool::l_false) continue;  // prefix negations imply ~l: drop l
-            kept.push_back(l);
-            if (k + 1 == lits.size()) break;  // last literal: nothing left to probe
-            const std::size_t before = trail_.size();
-            enqueue(~l, cref_undef);
-            if (propagate() != cref_undef) break;  // the prefix alone is contradictory
-            budget -= std::min<std::uint64_t>(budget, trail_.size() - before);
-            if (budget == 0) {
-                aborted = true;
-                break;
-            }
-        }
-        backtrack_to(0);
-        if (aborted)
-            for (std::size_t m = k + 1; m < lits.size(); ++m) kept.push_back(lits[m]);
-        if (kept.empty() || kept.size() >= lits.size()) {
-            attach_clause(c);
-            continue;
-        }
-        stats_.vivified_literals += lits.size() - kept.size();
-        free_clause(c);
-        // Re-filter against the level-0 assignment (an aborted scan can
-        // leave top-level-false tail literals in `kept`, and a reattached
-        // clause must never watch one).
-        clause_lits repl;
-        bool sat0 = false;
-        for (const lit l : kept) {
-            if (value(l) == lbool::l_true) sat0 = true;
-            if (value(l) == lbool::l_undef) repl.push_back(l);
-        }
-        if (sat0) {
-            clauses_[ci] = cref_undef;  // satisfied at level 0: drop outright
-        } else if (repl.empty()) {
-            clauses_[ci] = cref_undef;
-            ok_ = false;
-        } else if (repl.size() == 1) {
-            clauses_[ci] = cref_undef;
-            enqueue(repl[0], cref_undef);
-            ok_ = propagate() == cref_undef;
-        } else {
-            const cref nc = alloc_clause(repl, /*learnt=*/false);
-            attach_clause(nc);
-            clauses_[ci] = nc;
-        }
-    }
-    std::size_t keep = 0;
-    for (const cref c : clauses_)
-        if (c != cref_undef) clauses_[keep++] = c;
-    clauses_.resize(keep);
 }
 
 void solver::restore_var(var v0) {

@@ -58,8 +58,6 @@ struct solver_stats {
     /// Variables removed by bounded variable elimination (net of later
     /// un-eliminations forced by assumptions or new clauses).
     std::uint64_t eliminated_vars = 0;
-    /// Literals removed by clause vivification.
-    std::uint64_t vivified_literals = 0;
 
     bool operator==(const solver_stats&) const = default;
 };
@@ -122,7 +120,7 @@ struct solver_options {
     // ---- inprocessing ------------------------------------------------------
 
     /// Run inprocessing (subsumption + self-subsuming resolution, bounded
-    /// variable elimination, clause vivification) at restart boundaries.
+    /// variable elimination) at restart boundaries.
     /// Fires on deterministic conflict-count thresholds, so answers and
     /// stats stay bit-identical across thread counts. Models for
     /// eliminated variables are reconstructed before solve() returns.
@@ -132,12 +130,6 @@ struct solver_options {
     std::uint32_t inprocess_interval = 4000;
     /// Sub-switch: bounded variable elimination.
     bool inprocess_elim = true;
-    /// Sub-switch: clause vivification. Off by default: on the corpus
-    /// shapes (random 3-SAT, pigeonhole, redundancy-heavy) the probing
-    /// propagations cost more than the shortened clauses save — see
-    /// docs/TUNING.md for the measurements. Worth enabling on instances
-    /// with long clauses that actually shorten.
-    bool inprocess_vivify = false;
     /// Skip eliminating a variable occurring more often than this in
     /// either polarity (keeps the resolvent count quadratic-bounded).
     std::uint32_t elim_occ_limit = 10;
@@ -146,8 +138,6 @@ struct solver_options {
     std::uint32_t elim_grow_limit = 0;
     /// Resolvents longer than this block the elimination.
     std::uint32_t elim_clause_limit = 20;
-    /// Propagation budget (trail assignments) per vivification pass.
-    std::uint32_t vivify_budget = 20000;
 };
 
 /// Opt-in toggles for the modern-CDCL extensions, carried through the
@@ -435,8 +425,6 @@ private:
     void subsume_pass();
     /// Bounded variable elimination with solution-reconstruction records.
     void eliminate_vars();
-    /// Clause vivification under a propagation budget.
-    void vivify_pass();
     /// Zeroes the reasons of all (level-0) trail literals: they are facts,
     /// never re-derived, and stale crefs must not survive deletion/GC.
     void clear_level0_reasons();

@@ -656,7 +656,6 @@ std::map<std::string, std::uint64_t> server::snapshot_stats() const {
     out["cache.hits"] = cs.hits;
     out["cache.misses"] = cs.misses;
     out["cache.insertions"] = cs.insertions;
-    out["cache.structural_hits"] = cs.structural_hits;
     out["cache.persisted_loads"] = cs.persisted_loads;
     out["trace.dropped"] = trace_->dropped();
     // Per-tenant slices (tenant.<name>.*): departed connections' retained

@@ -291,19 +291,8 @@ env smt_solver::model_env() const {
 }
 
 std::uint64_t smt_solver::model_value(term t) const {
-    env e = model_env();
-    // Unblasted variables are unconstrained; default them to zero.
-    struct collector {
-        const term_manager& tm;
-        env& e;
-        void visit(term x) {
-            kind k = tm.kind_of(x);
-            if ((k == kind::var_bool || k == kind::var_bv) && e.count(x.id) == 0) e[x.id] = 0;
-            for (term kid : tm.children_of(x)) visit(kid);
-        }
-    } c{tm_, e};
-    c.visit(t);
-    return tm_.evaluate(t, e);
+    // Unblasted variables are unconstrained; model completion reads them as zero.
+    return tm_.evaluate_completed(t, model_env());
 }
 
 }  // namespace sciduction::smt

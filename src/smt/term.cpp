@@ -375,8 +375,17 @@ term term_manager::mk_sle(term a, term b) {
 // ---- evaluation --------------------------------------------------------------------
 
 std::uint64_t term_manager::evaluate(term t, const env& e) const {
-    // Iterative post-order with memoization; the DAG can be deep for unrolled
-    // programs, so no recursion.
+    return evaluate_under(t, e, /*complete=*/false);
+}
+
+std::uint64_t term_manager::evaluate_completed(term t, const env& e) const {
+    return evaluate_under(t, e, /*complete=*/true);
+}
+
+std::uint64_t term_manager::evaluate_under(term t, const env& e, bool complete) const {
+    // Iterative post-order with memoization: each node is evaluated once, so
+    // the walk is linear in the DAG even where sharing makes the unfolded
+    // tree exponential, and deep DAGs (unrolled programs) need no recursion.
     std::unordered_map<std::uint32_t, std::uint64_t> memo;
     std::vector<std::pair<term, bool>> stack{{t, false}};
     while (!stack.empty()) {
@@ -391,8 +400,13 @@ std::uint64_t term_manager::evaluate(term t, const env& e) const {
                 case kind::var_bool:
                 case kind::var_bv: {
                     auto it = e.find(cur.id);
-                    if (it == e.end())
-                        throw std::out_of_range("evaluate: unbound variable " + var_name(cur));
+                    if (it == e.end()) {
+                        if (!complete)
+                            throw std::out_of_range("evaluate: unbound variable " +
+                                                    var_name(cur));
+                        memo[cur.id] = 0;
+                        continue;
+                    }
                     memo[cur.id] = it->second & (n.k == kind::var_bool ? 1 : mask(n.width));
                     continue;
                 }

@@ -149,6 +149,9 @@ public:
     /// Concrete evaluation under an environment mapping variable ids to
     /// values. Throws std::out_of_range on an unbound variable.
     [[nodiscard]] std::uint64_t evaluate(term t, const env& e) const;
+    /// evaluate() with model completion: variables unbound in `e` read as
+    /// zero, the value a solver model leaves unconstrained variables at.
+    [[nodiscard]] std::uint64_t evaluate_completed(term t, const env& e) const;
 
     /// SMT-LIB-flavoured rendering, for debugging and documentation.
     [[nodiscard]] std::string to_string(term t) const;
@@ -179,6 +182,7 @@ private:
 
     term intern(node n);
     term fold_binary_bv(kind k, term a, term b);
+    std::uint64_t evaluate_under(term t, const env& e, bool complete) const;
     [[nodiscard]] const node& at(term t) const { return nodes_[t.id]; }
 
     std::uint64_t uid_;

@@ -141,22 +141,10 @@ backend_result smt_backend::check_cube(const std::vector<sat::lit>& cube,
 
 // ---- model evaluation -------------------------------------------------------
 
-std::uint64_t model_evaluator::value(smt::term t) {
-    // Iterative DAG walk defaulting unbound variables of t to zero.
-    stack_.assign(1, t);
-    while (!stack_.empty()) {
-        smt::term x = stack_.back();
-        stack_.pop_back();
-        smt::kind k = tm_.kind_of(x);
-        if ((k == smt::kind::var_bool || k == smt::kind::var_bv) && env_.count(x.id) == 0)
-            env_[x.id] = 0;
-        for (smt::term kid : tm_.children_of(x)) stack_.push_back(kid);
-    }
-    return tm_.evaluate(t, env_);
-}
+std::uint64_t model_evaluator::value(smt::term t) const { return tm_.evaluate_completed(t, env_); }
 
 std::uint64_t eval_model(const smt::term_manager& tm, smt::term t, const smt::env& model) {
-    return model_evaluator(tm, model).value(t);
+    return tm.evaluate_completed(t, model);
 }
 
 }  // namespace sciduction::substrate

@@ -117,9 +117,8 @@ struct backend_result {
     /// Clause-DB reductions the instance ran during this check (Glucose
     /// discipline; zero unless solver_options::reduce_learnts is on).
     std::uint64_t reduces = 0;
-    /// Inprocessing passes (subsumption / elimination / vivification) the
-    /// instance ran during this check; zero unless solver_options::inprocess
-    /// is on.
+    /// Inprocessing passes (subsumption / elimination) the instance ran
+    /// during this check; zero unless solver_options::inprocess is on.
     std::uint64_t inprocessings = 0;
     /// Variables currently eliminated by bounded variable elimination on the
     /// instance after this check (models are already reconstructed — this is
@@ -232,27 +231,25 @@ private:
     std::string name_;
 };
 
-/// Reads many term values out of one model without recopying it: the env is
-/// taken once and variables absent from it (never blasted, hence
-/// unconstrained) are defaulted to zero on first touch — the same
-/// convention as smt::smt_solver::model_value.
+/// Reads many term values out of one model: the env is taken once and
+/// variables absent from it (never blasted, hence unconstrained) read as
+/// zero — the same model completion as smt::smt_solver::model_value
+/// (term_manager::evaluate_completed, linear in the term DAG).
 class model_evaluator {
 public:
     /// Takes the model env once; `tm` must outlive the evaluator.
     model_evaluator(const smt::term_manager& tm, smt::env model)
         : tm_(tm), env_(std::move(model)) {}
 
-    /// Evaluates `t` under the model, defaulting unbound variables to zero.
-    std::uint64_t value(smt::term t);
+    /// Evaluates `t` under the model, reading unbound variables as zero.
+    [[nodiscard]] std::uint64_t value(smt::term t) const;
 
 private:
     const smt::term_manager& tm_;
     smt::env env_;
-    std::vector<smt::term> stack_;  // scratch for the unbound-variable walk
 };
 
-/// One-shot convenience over model_evaluator (copies the env; prefer the
-/// evaluator when reading several terms from the same model).
+/// One-shot form of model_evaluator::value over a borrowed model env.
 std::uint64_t eval_model(const smt::term_manager& tm, smt::term t, const smt::env& model);
 
 }  // namespace sciduction::substrate

@@ -94,8 +94,6 @@ request_stats query_handle::stats() const {
     return s;
 }
 
-std::shared_future<backend_result> query_handle::share() const { return future_; }
-
 // ---- engine_session ---------------------------------------------------------
 
 void session_stats::count(solve_status s) {
@@ -170,7 +168,6 @@ namespace {
 resolved_strategy defaults_from(const engine_config& cfg) {
     resolved_strategy d;
     d.members = std::max(1u, cfg.portfolio_members);
-    d.sequential = cfg.sequential_portfolio;
     d.depth = cfg.shard_depth;
     d.probe_candidates = cfg.shard_probe_candidates;
     d.sharing = cfg.sharing;
@@ -216,7 +213,6 @@ engine_stats smt_engine::stats() const {
     // tells the whole warm-start story (for a shared cache they aggregate
     // over every engine sharing it).
     query_cache::cache_stats cs = cache_->stats();
-    s.structural_hits = cs.structural_hits;
     s.remapped_models = cs.remapped_models;
     s.persisted_loads = cs.persisted_loads;
     return s;
@@ -246,8 +242,8 @@ void smt_engine::release_session_lane(thread_pool::lane_id lane) {
     if (pool_) pool_->release_lane(lane);
 }
 
-backend_result smt_engine::run_request(const smt_query& q, const struct strategy& requested,
-                                       const query_key& key, detail::query_state& state) {
+backend_result smt_engine::run_request(const solve_request& req, const query_key& key,
+                                       detail::query_state& state) {
     resolved_strategy rs;
     {
         sd::lock_guard lock(state.mutex);
@@ -271,7 +267,7 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
     // blasting cost is paid once wherever possible.
     std::unique_ptr<smt_backend> proto;
     auto make_proto = [&](const char* name) {
-        proto = std::make_unique<smt_backend>(tm_, q.assertions, q.assumptions,
+        proto = std::make_unique<smt_backend>(tm_, req.assertions, req.assumptions,
                                               sat::apply_features({}, rs.features), name);
         proto->prepare();
         instrument(*proto);
@@ -285,7 +281,7 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
         sat::solver& core = *proto->sat_core();
         f.variables = static_cast<std::size_t>(core.num_vars());
         f.clauses = core.num_clauses();
-        f.assumptions = q.assumptions.size();
+        f.assumptions = req.assumptions.size();
         // The thread budget, without forcing the (lazily created) pool
         // into existence: a classification that picks `single` must not
         // spawn workers.
@@ -301,7 +297,7 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
         // Explicitly-set request fields survive the classification: the
         // precedence order is request field > classifier pick > engine
         // default.
-        struct strategy merged = requested.overriding(strategy::auto_select(f));
+        struct strategy merged = req.strategy.overriding(strategy::auto_select(f));
         if (merged.kind == strategy_kind::portfolio && !merged.members && defaults_.members <= 1)
             merged.members = auto_portfolio_members;
         rs = merged.resolve(defaults_);
@@ -358,20 +354,21 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
             // Member 0's options are the baseline, so a prototype built for
             // the classifier is recycled as member 0 instead of re-blasting.
             auto recycled = std::make_shared<std::unique_ptr<smt_backend>>(std::move(proto));
-            auto factory = [this, &q, recycled, &instrument,
+            auto factory = [this, &req, recycled, &instrument,
                             &rs](unsigned member) -> std::unique_ptr<solver_backend> {
                 if (member == 0 && *recycled) return std::move(*recycled);
                 auto b = std::make_unique<smt_backend>(
-                    tm_, q.assertions, q.assumptions,
+                    tm_, req.assertions, req.assumptions,
                     sat::apply_features(diversified_options(member), rs.features),
                     "smt#" + std::to_string(member));
                 instrument(*b);
                 return b;
             };
-            // The sequential budgeted portfolio runs on this worker thread;
-            // the racing modes share the engine's pool.
-            portfolio_outcome outcome = pcfg.sequential ? race(factory, pcfg, controls)
-                                                        : race(factory, pcfg, pool(), controls);
+            // The sequential budgeted portfolio runs on this worker thread
+            // (no pool forced into existence); the racing modes share the
+            // engine's pool.
+            portfolio_outcome outcome =
+                race(factory, pcfg, pcfg.sequential ? nullptr : &pool(), controls);
             result = std::move(outcome.result);
             sd::lock_guard lock(state.mutex);
             state.stats.winner = outcome.winner;
@@ -397,7 +394,7 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
                         ++stats_.solver_runs;
                     }
                     auto b = std::make_unique<smt_backend>(
-                        tm_, q.assertions, q.assumptions,
+                        tm_, req.assertions, req.assumptions,
                         sat::apply_features(diversify
                                                 ? diversified_options(static_cast<unsigned>(pair))
                                                 : sat::solver_options{},
@@ -427,7 +424,7 @@ backend_result smt_engine::run_request(const smt_query& q, const struct strategy
     return result;
 }
 
-backend_result smt_engine::run_and_complete(const smt_query& q, const struct strategy& requested,
+backend_result smt_engine::run_and_complete(const solve_request& req,
                                             const query_cache::prepared_query& prep,
                                             detail::query_state& state,
                                             engine_session* session) {
@@ -439,7 +436,7 @@ backend_result smt_engine::run_and_complete(const smt_query& q, const struct str
     solve_span.arg("query", state.query_id);
     backend_result result;
     try {
-        result = run_request(q, requested, key, state);
+        result = run_request(req, key, state);
         resolved_strategy ran;
         {
             sd::lock_guard slock(state.mutex);
@@ -521,8 +518,6 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         return query_handle(std::move(state), ready.get_future().share(), rs.time_budget_ms,
                             /*coalesced=*/false);
     }
-    smt_query q{std::move(req.assertions), std::move(req.assumptions)};
-
     auto resolve_ready = [&](backend_result cached) {
         {
             sd::lock_guard lock(stats_mutex_);
@@ -549,7 +544,7 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     obs::span lookup_span(tr, trace_track_, "cache_lookup");
     lookup_span.arg("query", qid);
     std::shared_ptr<const query_cache::prepared_query> prep =
-        cache_->prepare(tm_, q.assertions, q.assumptions);
+        cache_->prepare(tm_, req.assertions, req.assumptions);
     if (rs.use_cache) {
         if (auto cached = cache_->lookup_prepared(tm_, *prep)) {
             lookup_span.arg("hit", 1);
@@ -595,7 +590,7 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         auto future = promise.get_future().share();
         inflight_.emplace(key, inflight_entry{state, future});
         lock.unlock();
-        promise.set_value(run_and_complete(q, req.strategy, *prep, *state, session.get()));
+        promise.set_value(run_and_complete(req, *prep, *state, session.get()));
         return query_handle(std::move(state), std::move(future), rs.time_budget_ms,
                             /*coalesced=*/false);
     }
@@ -604,8 +599,8 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     // Queue wait is recorded as its own span — dispatch latency under load
     // is exactly the gap the fair-lane scheduler exists to bound.
     const std::uint64_t enqueued_us = tr != nullptr ? tr->now_us() : 0;
-    auto task = [this, q = std::move(q), prep, state, requested = std::move(req.strategy),
-                 session, enqueued_us]() -> backend_result {
+    auto task = [this, req = std::move(req), prep, state, session,
+                 enqueued_us]() -> backend_result {
         if (obs::trace_collector* trc = cfg_.trace.get(); trc != nullptr) {
             const std::uint64_t now = trc->now_us();
             trc->record(obs::trace_event{"queue_wait",
@@ -614,7 +609,7 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
                                          now > enqueued_us ? now - enqueued_us : 0,
                                          {{"query", state->query_id}}});
         }
-        return run_and_complete(q, requested, *prep, *state, session.get());
+        return run_and_complete(req, *prep, *state, session.get());
     };
     auto future = session ? workers->submit_in(session->lane_, std::move(task)).share()
                           : workers->submit(std::move(task)).share();

@@ -10,9 +10,10 @@
 /// it:
 ///   * query cache    — memoizes results across the workload's loop
 ///                      (optionally capacity-bounded with LRU eviction);
+///                      every sat hit is remapped and verified by evaluation;
 ///   * single         — one solver instance;
-///   * portfolio      — races diversified instances (threaded or budgeted
-///                      sequential);
+///   * portfolio      — races diversified instances (threaded, or budgeted
+///                      sequential via the request's strategy::sequential);
 ///   * shard          — cube-and-conquers one hard query across the pool
 ///                      (shard_over_portfolio diversifies the pairs);
 ///   * automatic      — `strategy::auto_select` classifies the query on
@@ -21,13 +22,11 @@
 ///                      handle instead of re-solving.
 /// `submit` is asynchronous; `solve` is its synchronous twin (executed on
 /// the calling thread, so sequential workloads stay free of worker
-/// threads). The legacy entry points (`check`, `check_batch`,
-/// `check_async`, `check_sharded`) live on as `[[deprecated]]` free
-/// functions in compat.hpp, implemented over submit/solve. Multi-tenant
-/// serving opens one `engine_session` per tenant (open_session): session
-/// submits ride a fair dispatch lane of the pool and are accounted in a
-/// per-tenant `session_stats` slice — the scheduling substrate sciductiond
-/// (src/service/) builds on. A default-configured engine running
+/// threads). Multi-tenant serving opens one `engine_session` per tenant
+/// (open_session): session submits ride a fair dispatch lane of the pool
+/// and are accounted in a per-tenant `session_stats` slice — the
+/// scheduling substrate sciductiond (src/service/) builds on. A
+/// default-configured engine running
 /// single-strategy requests is observationally identical to constructing
 /// one smt::smt_solver per query, which is what the application modules
 /// did before the substrate existed.
@@ -80,12 +79,6 @@ struct engine_config {
     /// shard replicas. Off by default (legacy behaviour, bit-identical);
     /// per-request `strategy::features` overrides. See docs/TUNING.md.
     sat::solver_features solver_features{};
-    /// Default for the budgeted sequential portfolio: time-slice the
-    /// diversified members (slice length sharing.slice_conflicts) instead
-    /// of racing them on the pool — the single-core way to exploit member
-    /// diversity. Applies to portfolio-kind requests only; a shard request
-    /// shards regardless (the precedence rule solve_request_test.cpp pins).
-    bool sequential_portfolio = false;
     /// Persist the query cache at this path: loaded when the engine is
     /// constructed, saved when it is destroyed (and on explicit
     /// cache().save()), so repeated CLI/CI runs of the same workload start
@@ -143,32 +136,21 @@ struct strategy_picks {
 };
 
 /// Engine-level counters, cumulative over the engine's lifetime. The last
-/// three mirror the cache's own counters (query_cache::cache_stats) — for
+/// two mirror the cache's own counters (query_cache::cache_stats) — for
 /// an engine on a shared cache they therefore aggregate over every engine
 /// sharing it.
 struct engine_stats {
-    std::uint64_t queries = 0;      ///< submits (incl. every legacy shim call)
+    std::uint64_t queries = 0;      ///< submits
     std::uint64_t cache_hits = 0;   ///< queries answered from the query cache
     std::uint64_t solver_runs = 0;  ///< backends actually constructed+checked
     std::uint64_t coalesced = 0;    ///< submits joined to an in-flight duplicate
-    /// Cache hits served through the structural (cross-manager or
-    /// disk-loaded) path rather than the verbatim native replay.
-    std::uint64_t structural_hits = 0;
     /// Satisfying models remapped into the requesting manager's terms and
-    /// verified by evaluation (subset of structural_hits).
+    /// verified by evaluation (every sat cache hit).
     std::uint64_t remapped_models = 0;
     /// Entries the cache loaded from its persistence file (warm starts).
     std::uint64_t persisted_loads = 0;
     strategy_picks dispatched;      ///< executed strategies, by concrete kind
     strategy_picks auto_picks;      ///< the subset chosen by strategy::auto_select
-};
-
-/// An independent term-level query: decide the conjunction of `assertions`
-/// under the (non-persisted) `assumptions`. The strategy-less half of a
-/// solve_request, kept for the legacy shims and batch call sites.
-struct smt_query {
-    std::vector<smt::term> assertions;   ///< terms asserted true
-    std::vector<smt::term> assumptions;  ///< extra per-check assumption terms
 };
 
 /// Mid-flight progress snapshot of one submitted request.
@@ -250,9 +232,6 @@ public:
     [[nodiscard]] query_progress progress() const;
     /// Accounting snapshot (thread-safe; complete once ready()).
     [[nodiscard]] request_stats stats() const;
-    /// The underlying shared future — the bridge the check_async shim
-    /// returns. Waiting on it ignores the time budget.
-    [[nodiscard]] std::shared_future<backend_result> share() const;
 
 private:
     friend class smt_engine;
@@ -376,8 +355,7 @@ public:
     /// validates identically, but executes the solve on the *calling*
     /// thread — sequential workloads stay free of worker threads unless
     /// the strategy itself needs them. Duplicates arriving meanwhile still
-    /// coalesce onto the published in-flight entry. (The compat.hpp shims
-    /// are one-liners over this.)
+    /// coalesce onto the published in-flight entry.
     backend_result solve(solve_request req);
 
     /// Opens a per-tenant session: submits through it ride a fresh fair
@@ -406,15 +384,15 @@ private:
     query_handle do_submit(solve_request req, bool inline_exec,
                            std::shared_ptr<engine_session> session);
     /// Executes one resolved request on the calling (worker) thread.
-    backend_result run_request(const smt_query& q, const struct strategy& requested,
-                               const query_key& key, detail::query_state& state);
+    backend_result run_request(const solve_request& req, const query_key& key,
+                               detail::query_state& state);
     /// run_request plus the completion protocol: cache insert, history
     /// record, inflight erase, finished flag. Caught exceptions are
     /// serialized as solve_status::internal results (the regular error
     /// model), never rethrown into the future. `prep` is the query's
     /// one-time canonicalization (key + structural form), computed by
     /// do_submit and reused for the cache insert.
-    backend_result run_and_complete(const smt_query& q, const struct strategy& requested,
+    backend_result run_and_complete(const solve_request& req,
                                     const query_cache::prepared_query& prep,
                                     detail::query_state& state, engine_session* session);
     /// The engine's worker pool — the config's shared_pool if set, else an

@@ -229,40 +229,24 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
 
 }  // namespace
 
-portfolio_outcome race(const backend_factory& factory, unsigned members, thread_pool& pool) {
-    if (members <= 1) return race_single(factory, {});
-    return race_free(factory, members, pool, nullptr, {});
-}
-
 portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       thread_pool& pool, const solve_controls& controls) {
-    const unsigned members = cfg.members == 0 ? 1 : cfg.members;
-    if (members == 1) return race_single(factory, controls);
-    if (cfg.sequential || (cfg.sharing.enabled && cfg.sharing.deterministic))
-        return race_rounds(factory, cfg, cfg.sequential ? nullptr : &pool, controls);
-    if (cfg.sharing.enabled) {
-        clause_pool exchange(cfg.sharing);
-        return race_free(factory, members, pool, &exchange, controls);
-    }
-    return race_free(factory, members, pool, nullptr, controls);
-}
-
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       thread_pool& pool) {
-    return race(factory, cfg, pool, {});
-}
-
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       const solve_controls& controls) {
+                       thread_pool* pool, const solve_controls& controls) {
     const unsigned members = cfg.members == 0 ? 1 : cfg.members;
     if (members == 1) return race_single(factory, controls);
     if (cfg.sequential) return race_rounds(factory, cfg, nullptr, controls);
-    thread_pool pool(cfg.threads == 0 ? std::min(members, default_concurrency()) : cfg.threads);
-    return race(factory, cfg, pool, controls);
-}
-
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg) {
-    return race(factory, cfg, solve_controls{});
+    std::unique_ptr<thread_pool> transient;
+    if (pool == nullptr) {
+        transient = std::make_unique<thread_pool>(
+            cfg.threads == 0 ? std::min(members, default_concurrency()) : cfg.threads);
+        pool = transient.get();
+    }
+    if (cfg.sharing.enabled && cfg.sharing.deterministic)
+        return race_rounds(factory, cfg, pool, controls);
+    if (cfg.sharing.enabled) {
+        clause_pool exchange(cfg.sharing);
+        return race_free(factory, members, *pool, &exchange, controls);
+    }
+    return race_free(factory, members, *pool, nullptr, controls);
 }
 
 }  // namespace sciduction::substrate

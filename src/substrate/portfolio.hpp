@@ -12,7 +12,8 @@
 /// member wins; only the satisfying model (when one exists) depends on the
 /// winner.
 ///
-/// Three execution disciplines, picked by portfolio_config:
+/// One entry point, `race`, runs three execution disciplines, picked by
+/// portfolio_config:
 ///  * plain race       — free-running members, first answer wins (the
 ///                       pre-sharing behaviour, byte-identical when sharing
 ///                       is off);
@@ -42,8 +43,10 @@ namespace sciduction::substrate {
 struct portfolio_config {
     /// Member instances to race; 1 degenerates to a single solve.
     unsigned members = 4;
-    /// Worker threads (0 = hardware concurrency). Members beyond the thread
-    /// count start only if an earlier member finishes without an answer.
+    /// Worker threads of the transient pool a race without a caller pool
+    /// spins up (0 = min(members, hardware concurrency)). Members beyond the
+    /// thread count start only if an earlier member finishes without an
+    /// answer.
     unsigned threads = 0;
     /// Learnt-clause exchange between members. Off by default (legacy
     /// behaviour); sharing.deterministic selects the budgeted-rounds
@@ -83,29 +86,19 @@ struct portfolio_outcome {
 
 /// Races cfg.members instances built by `factory` and returns the first
 /// definite answer, cancelling the losers. Answer unknown only if every
-/// member returned unknown. The first overload spins up a transient pool;
-/// callers racing in a loop should hold a pool and use the pool-taking
-/// overloads. In the budgeted modes (cfg.sequential or
-/// cfg.sharing.deterministic) the winner is the lowest-indexed member that
-/// answers in the deciding round, which makes the full outcome — answer,
-/// model, stats — reproducible across thread counts.
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg = {});
-/// Same as race(factory, cfg), reusing the caller's worker pool.
+/// member returned unknown. Threaded races run on `pool`; a null pool spins
+/// up a transient one (callers racing in a loop should hold a pool). A
+/// sequential config runs on the calling thread whatever `pool` is.
+/// `controls` carries the external control lines: a cooperative cancel flag
+/// (set it and every member aborts; the race then answers unknown) and a
+/// per-member conflict budget (the budgeted-rounds driver checks it at its
+/// barriers; the free race arms each member's conflict-pause). In the
+/// budgeted modes (cfg.sequential or cfg.sharing.deterministic) the winner
+/// is the lowest-indexed member that answers in the deciding round, which
+/// makes the full outcome — answer, model, stats — reproducible across
+/// thread counts.
 portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       thread_pool& pool);
-/// Full form: caller's pool plus external control lines — a cooperative
-/// cancel flag (set it and every member aborts; the race then answers
-/// unknown) and a per-member conflict budget (the budgeted-rounds driver
-/// checks it at its barriers; the free race arms each member's
-/// conflict-pause). This is the overload `smt_engine::submit` drives.
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       thread_pool& pool, const solve_controls& controls);
-/// Controls without a caller pool: sequential configs run on the calling
-/// thread, threaded ones spin up a transient pool.
-portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,
-                       const solve_controls& controls);
-/// Legacy convenience: plain race (no sharing) on an existing pool.
-portfolio_outcome race(const backend_factory& factory, unsigned members, thread_pool& pool);
+                       thread_pool* pool, const solve_controls& controls = {});
 
 /// Standard diversification for the member'th portfolio slot: member 0 is
 /// the baseline; others vary seed, initial phase, random-branch frequency,

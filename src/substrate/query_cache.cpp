@@ -396,25 +396,11 @@ std::optional<backend_result> query_cache::lookup_locked(smt::term_manager& tm,
         ++stats_.misses;
         return std::nullopt;
     }
+    // Translate the entry into this manager's coordinates. Unsat transfers
+    // as-is (satisfiability is invariant under the variable bijection); a
+    // sat model is remapped and then verified by evaluating every assertion
+    // and assumption — a failure reads as a miss and the caller re-solves.
     entry& e = it->second;
-    std::vector<std::uint32_t> req_vars;
-    req_vars.reserve(prep.vars.size());
-    for (smt::term v : prep.vars) req_vars.push_back(v.id);
-
-    // Native fast path: the stored result was produced under exactly this
-    // variable table, so it replays verbatim (model keyed by these ids,
-    // CNF-level sat_model/core valid under the deterministic blasting).
-    if (e.has_native && e.native_vars == req_vars) {
-        ++stats_.hits;
-        touch(e);
-        return e.native;
-    }
-
-    // Structural path: translate the entry into this manager's
-    // coordinates. Unsat transfers as-is (satisfiability is invariant
-    // under the variable bijection); a sat model is remapped and then
-    // verified by evaluating every assertion and assumption — a failure
-    // reads as a miss and the caller re-solves.
     backend_result r;
     r.ans = e.ans;
     r.conflicts = e.conflicts;
@@ -451,17 +437,6 @@ std::optional<backend_result> query_cache::lookup_locked(smt::term_manager& tm,
         ++stats_.remapped_models;
     }
     ++stats_.hits;
-    ++stats_.structural_hits;
-    // Promote a disk-loaded entry: later lookups from this variable table
-    // replay natively. An entry that already has a native result keeps it
-    // — the in-process original is strictly richer (sat_model, core), and
-    // clobbering it would strip the producing manager of its verbatim
-    // replay just because another manager hit the entry.
-    if (!e.has_native) {
-        e.has_native = true;
-        e.native_vars = std::move(req_vars);
-        e.native = r;
-    }
     touch(e);
     return r;
 }
@@ -486,45 +461,32 @@ std::optional<backend_result> query_cache::lookup(const std::vector<smt::term>& 
 
 void query_cache::insert_locked(const prepared_query& prep, const backend_result& result) {
     if (result.ans == answer::unknown) return;
-    std::vector<std::uint32_t> req_vars;
-    req_vars.reserve(prep.vars.size());
-    for (smt::term v : prep.vars) req_vars.push_back(v.id);
-
-    auto structural_model = [&] {
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> model;
-        if (result.ans != answer::sat) return model;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> model;
+    if (result.ans == answer::sat) {
         model.reserve(result.model.size());
         for (std::uint32_t idx = 0; idx < prep.vars.size(); ++idx) {
             auto it = result.model.find(prep.vars[idx].id);
             if (it != result.model.end()) model.emplace_back(idx, it->second);
         }
-        return model;
-    };
+    }
 
     auto it = entries_.find(prep.form);
     if (it != entries_.end()) {
+        // Refresh in place: the caller just solved this query, so its result
+        // is authoritative — in particular, an entry whose model failed
+        // verification on lookup must be overwritten here, not kept (and
+        // re-persisted) to fail verification on every future lookup.
         entry& e = it->second;
+        e.ans = result.ans;
+        e.conflicts = result.conflicts;
+        e.model = std::move(model);
         touch(e);
-        // First in-process result wins; but a disk-loaded entry is
-        // refreshed wholesale — the fresh local solve is strictly more
-        // informative than structural coordinates alone.
-        if (!e.has_native) {
-            e.ans = result.ans;
-            e.conflicts = result.conflicts;
-            e.model = structural_model();
-            e.has_native = true;
-            e.native_vars = std::move(req_vars);
-            e.native = result;
-        }
         return;
     }
     entry e;
     e.ans = result.ans;
     e.conflicts = result.conflicts;
-    e.model = structural_model();
-    e.has_native = true;
-    e.native_vars = std::move(req_vars);
-    e.native = result;
+    e.model = std::move(model);
     lru_.push_front(prep.form);
     e.lru_pos = lru_.begin();
     entries_.emplace(prep.form, std::move(e));

@@ -26,14 +26,13 @@
 /// Because the form is manager-independent, two `term_manager` instances
 /// that build the same assertion set hit the same entry. Satisfying models
 /// are stored in *structural* coordinates (de Bruijn variable index →
-/// value) and remapped into the requesting manager's terms on a hit; a
-/// remapped model is verified by evaluating every assertion and assumption
-/// under it before it is returned, and a failed verification is treated as
-/// a miss (the caller falls back to a fresh solve). Results produced and
-/// re-requested under the *same* variable table short-circuit through a
-/// native fast path that replays the original `backend_result` verbatim
-/// (including the CNF-level `sat_model`/`core`, which do not survive the
-/// structural path).
+/// value) and every hit — from the same manager, another manager, or disk
+/// — takes one path: the model is remapped into the requesting manager's
+/// terms and verified by evaluating every assertion and assumption under
+/// it before it is returned, and a failed verification is treated as a
+/// miss (the caller falls back to a fresh solve, whose insert refreshes
+/// the entry in place). Hits carry the answer, the conflicts and the
+/// term-level model; the CNF-level `sat_model`/`core` stay empty.
 ///
 /// With a non-empty `path`, entries additionally persist across processes:
 /// the cache loads the file on construction and saves on destruction (and
@@ -169,12 +168,9 @@ public:
         /// `capacity()` entries; an eviction drops the result *and* its
         /// on-disk persistence (save() writes only current residents).
         std::uint64_t evictions = 0;
-        /// Hits answered through the structural (cross-manager or
-        /// disk-loaded) path rather than the native fast path.
-        std::uint64_t structural_hits = 0;
         /// Satisfying models translated from structural coordinates into
-        /// the requesting manager's terms (subset of structural_hits; unsat
-        /// structural hits need no model).
+        /// the requesting manager's terms and verified (subset of the
+        /// term-level hits; unsat hits need no model).
         std::uint64_t remapped_models = 0;
         /// Remapped models that failed evaluation-verification and were
         /// treated as misses (the caller re-solves). Nonzero values point
@@ -235,10 +231,10 @@ public:
                                                   const std::vector<smt::term>& assumptions = {});
 
     /// Returns the memoized result for this (assertion set, assumption
-    /// set) against the default manager, or nullopt. A structural hit from
-    /// another manager (or from disk) arrives with its model remapped into
-    /// this manager's terms and verified by evaluation; a verification
-    /// failure reads as a miss. Counted in stats().
+    /// set) against the default manager, or nullopt. A sat hit arrives with
+    /// its model remapped into this manager's terms and verified by
+    /// evaluation; a verification failure reads as a miss. Counted in
+    /// stats().
     std::optional<backend_result> lookup(const std::vector<smt::term>& assertions,
                                          const std::vector<smt::term>& assumptions = {});
     /// lookup() against an explicit manager.
@@ -250,9 +246,9 @@ public:
     std::optional<backend_result> lookup_prepared(smt::term_manager& tm,
                                                   const prepared_query& prep);
 
-    /// Memoizes a definite result against the default manager.
-    /// answer::unknown (interrupted) results are ignored — they say
-    /// nothing about the query.
+    /// Memoizes a definite result against the default manager, refreshing
+    /// a resident entry in place. answer::unknown (interrupted) results are
+    /// ignored — they say nothing about the query.
     void insert(const std::vector<smt::term>& assertions,
                 const std::vector<smt::term>& assumptions, const backend_result& result);
     /// insert() against an explicit manager.
@@ -309,20 +305,12 @@ public:
     bool load();
 
 private:
-    // A retained term-level result: the structural coordinates (always)
-    // plus, when produced in-process, the exact original backend_result
-    // and the variable table it is keyed by. The native result is replayed
-    // verbatim whenever a requester's variable table matches (comparing
-    // tables, not manager addresses, keeps the fast path sound across
-    // manager reconstruction); otherwise the structural model is remapped
-    // and verified.
+    // A retained term-level result in structural coordinates; every hit
+    // remaps and verifies the model.
     struct entry {
         answer ans = answer::unknown;
         std::uint64_t conflicts = 0;
         std::vector<std::pair<std::uint32_t, std::uint64_t>> model;  // de Bruijn idx -> value
-        bool has_native = false;
-        std::vector<std::uint32_t> native_vars;  // de Bruijn idx -> origin var term id
-        backend_result native;
         std::list<structural_form>::iterator lru_pos;  // position in lru_ (MRU at front)
     };
 

@@ -416,26 +416,4 @@ shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan&
     return solve_cubes_free(factory, plan, pool, nullptr, controls);
 }
 
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          thread_pool& pool, const sharing_config& sharing) {
-    return solve_cubes([&factory](std::size_t) { return factory(); }, plan, pool, sharing,
-                       solve_controls{});
-}
-
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          thread_pool& pool) {
-    return solve_cubes(factory, plan, pool, sharing_config{});
-}
-
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          unsigned threads, const sharing_config& sharing) {
-    thread_pool pool(threads == 0 ? default_concurrency() : threads);
-    return solve_cubes(factory, plan, pool, sharing);
-}
-
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          unsigned threads) {
-    return solve_cubes(factory, plan, threads, sharing_config{});
-}
-
 }  // namespace sciduction::substrate

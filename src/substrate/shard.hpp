@@ -98,25 +98,21 @@ struct shard_outcome {
     std::vector<cube_status> cube_fates;  ///< per-cube, indexed like plan.cubes
 };
 
-/// Builds one fresh replica of the shared problem. The construction must
-/// be deterministic — every replica must produce the same CNF with the
-/// same variable numbering as the solver `generate_cubes` probed, or the
-/// plan's cube literals are meaningless (same contract as the invgen
-/// portfolio factories).
-using shard_backend_factory = std::function<std::unique_ptr<solver_backend>()>;
-
-/// Pair-indexed replica factory: like shard_backend_factory, but told which
-/// sibling pair the replica will solve. The CNF must still be identical
-/// across replicas (the contract above); the index exists so the caller can
-/// diversify *search options* per pair — the shard_over_portfolio strategy
-/// runs pair p under diversified_options(p), marrying cube splitting with
-/// the portfolio's min-over-strategies effect. Deterministic: pair p always
+/// Builds the replica of the shared problem that solves sibling pair
+/// `pair`. The construction must be deterministic — every replica must
+/// produce the same CNF with the same variable numbering as the solver
+/// `generate_cubes` probed, or the plan's cube literals are meaningless
+/// (same contract as the invgen portfolio factories). The index exists so
+/// the caller can diversify *search options* per pair — the
+/// shard_over_portfolio strategy runs pair p under diversified_options(p),
+/// marrying cube splitting with the portfolio's min-over-strategies effect;
+/// callers that do not diversify ignore it. Deterministic: pair p always
 /// receives index p regardless of scheduling.
 using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std::size_t pair)>;
 
-/// Decides the problem by dispatching the plan's cubes across `pool`.
-/// Work-stealing-style refill: the unit of work is a sibling pair, and
-/// idle workers claim the next pair index until the tree is drained. A
+/// Decides the problem by dispatching the plan's cubes across the caller's
+/// `pool`. Work-stealing-style refill: the unit of work is a sibling pair,
+/// and idle workers claim the next pair index until the tree is drained. A
 /// SAT cube cancels everything else; all-UNSAT aggregates deterministically
 /// (see the header comment's determinism contract).
 ///
@@ -130,28 +126,15 @@ using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std:
 /// `sharing.deterministic` switches to conflict-budgeted rounds with
 /// exchange barriers, restoring the full stats determinism contract at the
 /// cost of persistent per-pair solver instances and round latency.
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          thread_pool& pool, const sharing_config& sharing);
-/// Full form: pair-indexed factory plus external control lines — a
-/// cooperative cancel flag (set it and every pair aborts; undecided cubes
-/// are marked skipped and the outcome answers unknown), a progress counter
-/// bumped once per settled cube, and a per-pair conflict budget (armed as
-/// a conflict-pause on the free scheduler, checked at the round barriers
-/// of the deterministic one). This is the overload `smt_engine::submit`
-/// and `solve_cnf` drive.
+///
+/// `controls` carries the external control lines: a cooperative cancel
+/// flag (set it and every pair aborts; undecided cubes are marked skipped
+/// and the outcome answers unknown), a progress counter bumped once per
+/// settled cube, and a per-pair conflict budget (armed as a conflict-pause
+/// on the free scheduler, checked at the round barriers of the
+/// deterministic one).
 shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan& plan,
-                          thread_pool& pool, const sharing_config& sharing,
-                          const solve_controls& controls);
-/// Same as above with sharing off (the legacy entry point, bit-identical
-/// to its pre-sharing behaviour).
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          thread_pool& pool);
-
-/// Convenience overload spinning up a transient pool (0 = hardware).
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          unsigned threads = 0);
-/// Convenience overload: transient pool (0 = hardware) with clause sharing.
-shard_outcome solve_cubes(const shard_backend_factory& factory, const cube_plan& plan,
-                          unsigned threads, const sharing_config& sharing);
+                          thread_pool& pool, const sharing_config& sharing = {},
+                          const solve_controls& controls = {});
 
 }  // namespace sciduction::substrate

@@ -114,11 +114,10 @@ resolved_strategy strategy::resolve(const resolved_strategy& defaults) const {
     if (use_cache) r.use_cache = *use_cache;
     r.conflict_budget = conflict_budget;
     r.time_budget_ms = time_budget_ms;
-    // Normalize degenerate combinations the way the legacy entry points
-    // did: a shard request with no depth *is* the portfolio path
-    // (check_sharded's depth-0 degradation), and a 1-member portfolio *is*
-    // a single solve. `automatic` keeps its kind — the engine classifies
-    // once features are known — but its fields are resolved so explicit
+    // Normalize degenerate combinations: a shard request with no depth
+    // *is* the portfolio path, and a 1-member portfolio *is* a single
+    // solve. `automatic` keeps its kind — the engine classifies once
+    // features are known — but its fields are resolved so explicit
     // per-request settings survive the classification.
     if ((r.kind == strategy_kind::shard || r.kind == strategy_kind::shard_over_portfolio) &&
         r.depth == 0)
@@ -277,7 +276,7 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
             build(member, backend->solver());
             return backend;
         };
-        portfolio_outcome race_out = race(factory, pcfg, inner);
+        portfolio_outcome race_out = race(factory, pcfg, nullptr, inner);
         out.result = std::move(race_out.result);
         out.winner = race_out.winner;
         out.total_conflicts = race_out.total_conflicts;

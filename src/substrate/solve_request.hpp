@@ -2,13 +2,10 @@
 /// The substrate's unified request model: one `solve_request` describes a
 /// deductive query *and* how to decide it.
 ///
-/// Before this header the engine exposed the strategy space as parallel
-/// entry points (`check` vs `check_batch` vs `check_sharded` vs
-/// `check_async`) crossed with engine-global configuration. A
-/// `solve_request` folds that flag soup into data: the assertions plus a
-/// composable `strategy` descriptor — `automatic | single | portfolio |
-/// shard | shard_over_portfolio` with sharing, determinism, conflict/time
-/// budgets and cache policy as per-request fields. `smt_engine::submit`
+/// A `solve_request` is data: the assertions plus a composable `strategy`
+/// descriptor — `automatic | single | portfolio | shard |
+/// shard_over_portfolio` with sharing, determinism, conflict/time budgets
+/// and cache policy as per-request fields. `smt_engine::submit`
 /// (engine.hpp) is the one entry point consuming it; `solve_cnf` below is
 /// the CNF-level analogue for workloads (invgen) that build clauses
 /// directly instead of terms.
@@ -79,7 +76,7 @@ struct strategy {
     /// Portfolio members to race (unset = engine default).
     std::optional<unsigned> members;
     /// Budgeted sequential portfolio instead of a threaded race (unset =
-    /// engine default).
+    /// off; no engine-level default exists).
     std::optional<bool> sequential;
     /// Cube split depth for the shard kinds (unset = engine default).
     std::optional<unsigned> depth;
@@ -112,9 +109,8 @@ struct strategy {
     static strategy single();
     /// Portfolio race; `members` 0 inherits the engine default.
     static strategy portfolio(unsigned members = 0);
-    /// Cube-and-conquer; `depth` 0 inherits the engine default (which may
-    /// degrade the request to portfolio/single, exactly like the legacy
-    /// `check_sharded` with `shard_depth == 0`).
+    /// Cube-and-conquer; `depth` 0 inherits the engine default (an engine
+    /// `shard_depth` of 0 degrades the request to portfolio/single).
     static strategy shard(unsigned depth = 0);
     /// Cube-and-conquer with portfolio-diversified sibling pairs: pair *p*
     /// runs under `diversified_options(p)`, so the tree gets the
@@ -139,10 +135,10 @@ struct strategy {
 
     /// Resolves this request against concrete defaults: unset optionals
     /// inherit, set fields override, budgets copy through. Degenerate
-    /// combinations normalize exactly like the legacy entry points did
-    /// (portfolio of 1 member => single; shard of depth 0 => portfolio
-    /// resolution). `automatic` resolves its *fields* but keeps its kind —
-    /// the engine classifies once the features are known.
+    /// combinations normalize (portfolio of 1 member => single; shard of
+    /// depth 0 => portfolio resolution). `automatic` resolves its *fields*
+    /// but keeps its kind — the engine classifies once the features are
+    /// known.
     [[nodiscard]] resolved_strategy resolve(const resolved_strategy& defaults) const;
 
     /// Checks the explicitly-set fields for nonsense the resolve/clamp

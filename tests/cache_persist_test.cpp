@@ -140,8 +140,7 @@ TEST(cross_manager, shared_cache_solves_once_and_remaps_verified_model) {
 
     smt::term_manager tm_b;
     smt_engine engine_b(tm_b, {.shared_cache = cache});
-    // Junk terms shift every id: manager B genuinely cannot take the
-    // native fast path (identically built managers share ids and may).
+    // Junk terms shift every id, so the remap is a real translation.
     tm_b.mk_bv_var("junk", 32);
     tm_b.mk_bool_var("more_junk");
     smt::term y = tm_b.mk_bv_var("y", 8);  // renamed variable
@@ -151,7 +150,6 @@ TEST(cross_manager, shared_cache_solves_once_and_remaps_verified_model) {
     ASSERT_EQ(r_b.ans, answer::sat);
     EXPECT_EQ(engine_b.stats().solver_runs, 0u);
     EXPECT_EQ(engine_b.stats().cache_hits, 1u);
-    EXPECT_EQ(engine_b.stats().structural_hits, 1u);
     EXPECT_EQ(engine_b.stats().remapped_models, 1u);
     // The remapped model satisfies the requester's formula in the
     // requester's coordinates.
@@ -176,25 +174,27 @@ TEST(cross_manager, unsat_results_transfer) {
                                tm_b.mk_ult(z, tm_b.mk_bv_const(8, 4))});
     EXPECT_EQ(r_b.ans, answer::unsat);
     EXPECT_EQ(engine_b.stats().solver_runs, 0u);
-    EXPECT_EQ(engine_b.stats().structural_hits, 1u);
+    EXPECT_EQ(engine_b.stats().cache_hits, 1u);
     EXPECT_EQ(engine_b.stats().remapped_models, 0u);  // no model to remap
 }
 
-TEST(cross_manager, same_manager_hits_replay_native_results_verbatim) {
+TEST(cross_manager, same_manager_hit_returns_the_first_solves_model) {
     auto cache = std::make_shared<query_cache>(std::string{});
     smt::term_manager tm;
     smt_engine engine(tm, {.shared_cache = cache});
     smt::term f = tm.mk_ult(tm.mk_bv_var("x", 16), tm.mk_bv_const(16, 7));
     auto r1 = solve_portfolio(engine, {f});
     auto r2 = solve_portfolio(engine, {f});
-    EXPECT_EQ(r1.model, r2.model);  // memoized model replayed verbatim
-    EXPECT_EQ(engine.stats().structural_hits, 0u);  // native fast path
+    EXPECT_EQ(engine.stats().solver_runs, 1u);
+    EXPECT_EQ(engine.stats().cache_hits, 1u);
+    EXPECT_EQ(engine.stats().remapped_models, 1u);  // verified like every sat hit
+    EXPECT_EQ(r1.model, r2.model);
 }
 
 TEST(cross_manager, unverifiable_model_reads_as_miss) {
     // A poisoned sat entry (as a corrupt persistence file could produce)
-    // must fail evaluation-verification on the structural path and fall
-    // back to a miss — never surface an invalid model.
+    // must fail evaluation-verification and fall back to a miss — never
+    // surface an invalid model.
     smt::term_manager tm_a;
     query_cache cache(tm_a);
     smt::term x = tm_a.mk_bv_var("x", 8);
@@ -205,12 +205,58 @@ TEST(cross_manager, unverifiable_model_reads_as_miss) {
     cache.insert({f_a}, {}, poisoned);
 
     smt::term_manager tm_b;
-    tm_b.mk_bv_var("junk", 32);  // shift ids so the structural path engages
+    tm_b.mk_bv_var("junk", 32);  // shift ids: a genuine cross-manager remap
     smt::term y = tm_b.mk_bv_var("y", 8);
     smt::term f_b = tm_b.mk_ult(y, tm_b.mk_bv_const(8, 50));
     EXPECT_FALSE(cache.lookup_in(tm_b, {f_b}).has_value());
     EXPECT_EQ(cache.stats().remap_rejects, 1u);
-    EXPECT_EQ(cache.stats().structural_hits, 0u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(cross_manager, poisoned_entry_reads_as_miss_for_its_own_manager) {
+    // The manager that inserted an entry gets no unchecked replay either:
+    // its own lookup verifies the model and rejects the poisoned one.
+    smt::term_manager tm;
+    query_cache cache(tm);
+    smt::term x = tm.mk_bv_var("x", 8);
+    smt::term f = tm.mk_ult(x, tm.mk_bv_const(8, 50));
+    backend_result poisoned;
+    poisoned.ans = answer::sat;
+    poisoned.model = {{x.id, 200}};  // 200 < 50 is false
+    cache.insert({f}, {}, poisoned);
+    EXPECT_FALSE(cache.lookup({f}).has_value());
+    EXPECT_EQ(cache.stats().remap_rejects, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(cross_manager, fresh_solve_after_a_reject_refreshes_the_entry) {
+    // Reject -> fresh solve -> its insert refreshes the resident entry in
+    // place, so the next lookup hits with the solved model instead of
+    // rejecting the poisoned one forever.
+    smt::term_manager tm;
+    smt_engine engine(tm);
+    smt::term x = tm.mk_bv_var("x", 8);
+    smt::term f = tm.mk_ult(x, tm.mk_bv_const(8, 50));
+    backend_result poisoned;
+    poisoned.ans = answer::sat;
+    poisoned.model = {{x.id, 200}};
+    engine.cache().insert({f}, {}, poisoned);
+
+    backend_result first = engine.solve({{f}, {}, strategy::single()});
+    ASSERT_EQ(first.ans, answer::sat);
+    EXPECT_EQ(eval_model(tm, f, first.model), 1u);
+    EXPECT_EQ(engine.stats().solver_runs, 1u);
+    // The submit's optimistic lookup and its locked re-check both reject.
+    const std::uint64_t rejects = engine.cache().stats().remap_rejects;
+    EXPECT_GE(rejects, 1u);
+
+    backend_result second = engine.solve({{f}, {}, strategy::single()});
+    ASSERT_EQ(second.ans, answer::sat);
+    EXPECT_EQ(engine.stats().solver_runs, 1u);
+    EXPECT_EQ(engine.stats().cache_hits, 1u);
+    EXPECT_EQ(engine.cache().stats().remap_rejects, rejects);
+    EXPECT_EQ(engine.cache().size(), 1u);
+    EXPECT_EQ(second.model, first.model);
 }
 
 TEST(manager_memo, lru_eviction_survives_manager_churn) {
@@ -289,7 +335,6 @@ TEST(persistence, engine_warm_starts_from_saved_cache) {
         ASSERT_EQ(r.ans, answer::sat);
         EXPECT_EQ(engine.stats().solver_runs, 0u);
         EXPECT_EQ(engine.stats().cache_hits, 1u);
-        EXPECT_EQ(engine.stats().structural_hits, 1u);
         EXPECT_EQ(engine.stats().remapped_models, 1u);
         EXPECT_EQ(eval_model(tm, f, r.model), 1u);
     }

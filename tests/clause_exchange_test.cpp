@@ -329,7 +329,7 @@ TEST(portfolio_sharing, deterministic_sharing_identical_across_thread_counts) {
         cfg.sharing.deterministic = true;
         cfg.sharing.slice_conflicts = 300;
         thread_pool pool(threads);
-        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg, pool);
+        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg, &pool);
     };
     portfolio_outcome one = run(1);
     portfolio_outcome four = run(4);
@@ -355,7 +355,7 @@ TEST(portfolio_sharing, deterministic_sharing_cuts_total_conflicts_on_pigeonhole
         cfg.sharing.max_clause_size = 32;
         cfg.sharing.max_lbd = 32;
         cfg.sharing.max_import_per_checkpoint = 16;
-        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg);
+        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg, nullptr);
     };
     portfolio_outcome shared = run(true);
     portfolio_outcome solo = run(false);
@@ -371,7 +371,7 @@ TEST(portfolio_sharing, sequential_budgeted_portfolio_is_reproducible) {
         cfg.sequential = true;
         cfg.sharing.enabled = true;
         cfg.sharing.slice_conflicts = 250;
-        return race([&](unsigned m) { return pigeonhole_member(m, 6); }, cfg);
+        return race([&](unsigned m) { return pigeonhole_member(m, 6); }, cfg, nullptr);
     };
     portfolio_outcome a = run();
     portfolio_outcome b = run();
@@ -403,7 +403,7 @@ TEST(portfolio_sharing, free_running_sharing_keeps_answers_and_models_sound) {
             build(b->solver());
             return b;
         },
-        cfg);
+        cfg, nullptr);
     ASSERT_EQ(outcome.result.ans, answer::sat);
     for (int i = 0; i < 20; ++i)
         EXPECT_EQ(outcome.result.sat_model[static_cast<std::size_t>(i)], sat::lbool::l_true);
@@ -424,11 +424,14 @@ TEST(shard_sharing, deterministic_sharing_identical_across_thread_counts) {
     share.deterministic = true;
     share.slice_conflicts = 300;
     auto run = [&](unsigned threads) {
-        return solve_cubes([] {
-            auto b = std::make_unique<sat_backend>();
-            encode_pigeonhole(b->solver(), 7);
-            return b;
-        }, plan, threads, share);
+        thread_pool pool(threads);
+        return solve_cubes(
+            [](std::size_t) {
+                auto b = std::make_unique<sat_backend>();
+                encode_pigeonhole(b->solver(), 7);
+                return b;
+            },
+            plan, pool, share);
     };
     shard_outcome one = run(1);
     shard_outcome four = run(4);
@@ -439,24 +442,9 @@ TEST(shard_sharing, deterministic_sharing_identical_across_thread_counts) {
     EXPECT_GT(one.stats.sharing.imported, 0u) << "pairs must actually exchange clauses";
 }
 
-TEST(shard_sharing, no_sharing_stats_unchanged_from_legacy_overload) {
-    cube_plan plan = php_plan(6, 2);
-    auto factory = [] {
-        auto b = std::make_unique<sat_backend>();
-        encode_pigeonhole(b->solver(), 6);
-        return std::unique_ptr<solver_backend>(std::move(b));
-    };
-    shard_outcome legacy = solve_cubes(factory, plan, /*threads=*/2);
-    shard_outcome explicit_off = solve_cubes(factory, plan, /*threads=*/2, sharing_config{});
-    EXPECT_EQ(legacy.result.ans, answer::unsat);
-    EXPECT_EQ(legacy.stats, explicit_off.stats);
-    EXPECT_EQ(legacy.cube_fates, explicit_off.cube_fates);
-    EXPECT_TRUE(legacy.stats.sharing == sharing_counters{});
-}
-
 TEST(shard_sharing, sharing_cuts_total_conflicts_at_depth_two) {
     cube_plan plan = php_plan(7, 2);
-    auto factory = [] {
+    auto factory = [](std::size_t) {
         auto b = std::make_unique<sat_backend>();
         encode_pigeonhole(b->solver(), 7);
         return std::unique_ptr<solver_backend>(std::move(b));
@@ -471,8 +459,9 @@ TEST(shard_sharing, sharing_cuts_total_conflicts_at_depth_two) {
     share.max_clause_size = 16;
     share.max_lbd = 10;
     share.max_import_per_checkpoint = 32;
-    shard_outcome shared = solve_cubes(factory, plan, /*threads=*/2, share);
-    shard_outcome solo = solve_cubes(factory, plan, /*threads=*/2);
+    thread_pool pool(2);
+    shard_outcome shared = solve_cubes(factory, plan, pool, share);
+    shard_outcome solo = solve_cubes(factory, plan, pool);
     ASSERT_EQ(shared.result.ans, answer::unsat);
     ASSERT_EQ(solo.result.ans, answer::unsat);
     EXPECT_LT(shared.stats.conflicts, solo.stats.conflicts);
@@ -526,11 +515,15 @@ TEST(engine_sharing, sequential_budgeted_portfolio_matches_plain_check) {
     engine_config cfg;
     cfg.use_cache = false;
     cfg.portfolio_members = 3;
-    cfg.sequential_portfolio = true;
     cfg.sharing.enabled = true;
     cfg.sharing.slice_conflicts = 200;
     smt_engine budgeted(tm, cfg);
-    EXPECT_EQ(solve_portfolio(budgeted, assertions).ans, answer::unsat);
+    strategy sequential = strategy::portfolio();
+    sequential.sequential = true;
+    query_handle handle = budgeted.submit({assertions, {}, sequential});
+    EXPECT_EQ(handle.get().ans, answer::unsat);
+    EXPECT_TRUE(handle.stats().strategy.sequential);
+    EXPECT_EQ(handle.stats().strategy.members, 3u);
 }
 
 }  // namespace

@@ -1,31 +1,29 @@
 /// \file
-/// Shared helpers for tests exercising the engine through the v2 request
-/// surface. They express the legacy call shapes (engine-default portfolio
-/// check, batch of single-strategy solves, cube-and-conquer with a stats
-/// out-param, future-returning async check) over smt_engine::solve /
-/// smt_engine::submit, so the per-test expectations about counters and
-/// strategies stay explicit at the call sites.
+/// Shared helpers for tests exercising the engine through the request
+/// surface: the recurring call shapes (engine-default portfolio solve,
+/// submit-many then await-all, cube-and-conquer with a stats out-param)
+/// over smt_engine::solve / smt_engine::submit, so the per-test
+/// expectations about counters and strategies stay explicit at the call
+/// sites.
 #pragma once
 
 #include "substrate/engine.hpp"
 
 namespace sciduction::substrate {
 
-/// Synchronous solve with the engine-default portfolio strategy — the
-/// legacy `check` shape. Runs inline on the calling thread.
+/// Synchronous solve with the engine-default portfolio strategy. Runs
+/// inline on the calling thread.
 inline backend_result solve_portfolio(smt_engine& engine, std::vector<smt::term> assertions,
                                       std::vector<smt::term> assumptions = {}) {
     return engine.solve({std::move(assertions), std::move(assumptions), strategy::portfolio()});
 }
 
-/// Submit-many with strategy::single() then await-all, results in query
-/// order — the legacy `check_batch` contract.
+/// Submit-many then await-all, results in request order.
 inline std::vector<backend_result> solve_batch(smt_engine& engine,
-                                               const std::vector<smt_query>& queries) {
+                                               const std::vector<solve_request>& requests) {
     std::vector<query_handle> handles;
-    handles.reserve(queries.size());
-    for (const smt_query& q : queries)
-        handles.push_back(engine.submit({q.assertions, q.assumptions, strategy::single()}));
+    handles.reserve(requests.size());
+    for (const solve_request& req : requests) handles.push_back(engine.submit(req));
     std::vector<backend_result> results;
     results.reserve(handles.size());
     for (query_handle& h : handles) results.push_back(h.get());
@@ -34,7 +32,7 @@ inline std::vector<backend_result> solve_batch(smt_engine& engine,
 
 /// Solve with strategy::shard() (engine-default depth; depth 0 degrades to
 /// the portfolio resolution), optionally reporting the shard work
-/// breakdown — the legacy `check_sharded` shape.
+/// breakdown.
 inline backend_result solve_sharded(smt_engine& engine, std::vector<smt::term> assertions,
                                     shard_stats* stats = nullptr) {
     query_handle handle = engine.submit({std::move(assertions), {}, strategy::shard()});
@@ -43,11 +41,9 @@ inline backend_result solve_sharded(smt_engine& engine, std::vector<smt::term> a
     return result;
 }
 
-/// Submit with the engine-default portfolio strategy and return the shared
-/// future — the legacy `check_async` shape.
-inline std::shared_future<backend_result> submit_portfolio(smt_engine& engine,
-                                                           std::vector<smt::term> assertions) {
-    return engine.submit({std::move(assertions), {}, strategy::portfolio()}).share();
+/// Submit with the engine-default portfolio strategy; await the handle.
+inline query_handle submit_portfolio(smt_engine& engine, std::vector<smt::term> assertions) {
+    return engine.submit({std::move(assertions), {}, strategy::portfolio()});
 }
 
 }  // namespace sciduction::substrate

@@ -50,7 +50,6 @@ sat::solver_options aggressive(bool reduce, bool inprocess) {
     o.reduce_inc = 20;
     o.inprocess = inprocess;
     o.inprocess_interval = 60;
-    o.inprocess_vivify = inprocess;  // default-off knob: force coverage here
     return o;
 }
 
@@ -208,7 +207,6 @@ TEST(bitwise_pins, features_off_search_is_bit_identical_to_pre_pr_solver) {
         EXPECT_EQ(st.reduces, 0u);
         EXPECT_EQ(st.inprocessings, 0u);
         EXPECT_EQ(st.eliminated_vars, 0u);
-        EXPECT_EQ(st.vivified_literals, 0u);
     }
 }
 
@@ -227,7 +225,7 @@ TEST(bitwise_pins, lbd_tracking_unchanged_by_the_arena_rewrite) {
 
 TEST(bitwise_pins, clause_digest_unchanged_by_inprocessing) {
     // The digest fingerprints the input clause stream, taken at add_clause
-    // time — simplification afterwards (subsumption, BVE, vivification)
+    // time — simplification afterwards (subsumption, BVE)
     // must not perturb it.
     for (std::uint64_t seed : {3ULL, 6ULL, 9ULL}) {
         const fuzz_cnf cnf = generate_cnf(seed);
@@ -320,7 +318,7 @@ TEST(feature_determinism, portfolio_bit_identical_across_thread_counts) {
         cfg.sharing.deterministic = true;
         cfg.sharing.slice_conflicts = 300;
         substrate::thread_pool pool(threads);
-        return substrate::race([](unsigned m) { return featured_member(m, 7); }, cfg, pool);
+        return substrate::race([](unsigned m) { return featured_member(m, 7); }, cfg, &pool);
     };
     substrate::portfolio_outcome one = run(1);
     substrate::portfolio_outcome four = run(4);
@@ -378,7 +376,7 @@ TEST(feature_composition, exchange_import_bit_survives_reduction) {
             sat::encode_pigeonhole(b->solver(), 7);
             return b;
         },
-        cfg);
+        cfg, nullptr);
     EXPECT_EQ(out.result.ans, answer::unsat);
     EXPECT_GT(out.sharing.imported, 0u);
     EXPECT_GT(out.sharing.exported, 0u);

@@ -218,7 +218,7 @@ TEST(trace_determinism, deterministic_portfolio_is_bit_identical_with_tracing_on
         controls.trace = tc;
         if (tc != nullptr) controls.trace_track = tc->register_track("t");
         substrate::thread_pool pool(threads);
-        return substrate::race([&](unsigned m) { return php_member(m, 7); }, cfg, pool, controls);
+        return substrate::race([&](unsigned m) { return php_member(m, 7); }, cfg, &pool, controls);
     };
     const substrate::portfolio_outcome plain = run(1, nullptr);
     for (unsigned threads : {1u, 4u}) {

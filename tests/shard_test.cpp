@@ -80,7 +80,9 @@ TEST(cube_generation, refuted_root_detected) {
     s.add_clause(~sat::mk_lit(a));
     cube_plan plan = generate_cubes(s, {});
     EXPECT_TRUE(plan.root_unsat);
-    auto outcome = solve_cubes([] { return std::make_unique<sat_backend>(); }, plan, 1);
+    thread_pool pool(1);
+    auto outcome =
+        solve_cubes([](std::size_t) { return std::make_unique<sat_backend>(); }, plan, pool);
     EXPECT_TRUE(outcome.result.is_unsat());
 }
 
@@ -90,13 +92,14 @@ shard_outcome shard_pigeonhole(int holes, unsigned depth, unsigned threads) {
     sat::solver prototype;
     encode_pigeonhole(prototype, holes);
     cube_plan plan = generate_cubes(prototype, {.depth = depth, .probe_candidates = 8});
+    thread_pool pool(threads);
     return solve_cubes(
-        [&] {
+        [&](std::size_t) {
             auto backend = std::make_unique<sat_backend>();
             encode_pigeonhole(backend->solver(), holes);
             return backend;
         },
-        plan, threads);
+        plan, pool);
 }
 
 TEST(shard, all_unsat_answers_and_stats_deterministic_across_thread_counts) {
@@ -110,9 +113,10 @@ TEST(shard, all_unsat_answers_and_stats_deterministic_across_thread_counts) {
     EXPECT_EQ(four.winning_cube, shard_outcome::no_cube);
     EXPECT_EQ(one.stats, four.stats);
     EXPECT_EQ(one.cube_fates, four.cube_fates);
-    // Every cube is accounted for, none skipped.
+    // Every cube is accounted for, none skipped; sharing off exchanges nothing.
     EXPECT_EQ(one.stats.refuted + one.stats.pruned, one.stats.cubes);
     EXPECT_EQ(one.stats.skipped, 0u);
+    EXPECT_TRUE(one.stats.sharing == sharing_counters{});
 }
 
 TEST(shard, sat_race_returns_model_satisfying_all_clauses) {
@@ -130,13 +134,14 @@ TEST(shard, sat_race_returns_model_satisfying_all_clauses) {
         sat::solver prototype;
         build(prototype);
         cube_plan plan = generate_cubes(prototype, {.depth = 2, .probe_candidates = 4});
+        thread_pool pool(threads);
         auto outcome = solve_cubes(
-            [&] {
+            [&](std::size_t) {
                 auto backend = std::make_unique<sat_backend>();
                 build(backend->solver());
                 return backend;
             },
-            plan, threads);
+            plan, pool);
         ASSERT_TRUE(outcome.result.is_sat()) << "threads " << threads;
         ASSERT_NE(outcome.winning_cube, shard_outcome::no_cube);
         for (int i = 0; i < 20; ++i)
@@ -205,7 +210,7 @@ TEST(engine_shard, depth_zero_degrades_to_plain_check) {
     smt::term q = tm.mk_ult(x, tm.mk_bv_const(8, 5));
     smt_engine engine(tm);  // shard_depth == 0
     EXPECT_TRUE(solve_portfolio(engine, {q}).is_sat());
-    // check_sharded is a cache hit on the plain check's entry.
+    // The shard request is a cache hit on the plain solve's entry.
     shard_stats stats;
     EXPECT_TRUE(solve_sharded(engine, {q}, &stats).is_sat());
     EXPECT_EQ(engine.stats().cache_hits, 1u);

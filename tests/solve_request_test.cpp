@@ -58,8 +58,7 @@ TEST(strategy_resolution, per_request_fields_override_defaults) {
 TEST(strategy_resolution, degenerate_combinations_normalize_like_legacy) {
     resolved_strategy no_shard;  // engine with shard_depth == 0, 1 member
     // A shard request against a depth-0 default degrades through the
-    // portfolio resolution down to a single solve — exactly what the legacy
-    // check_sharded did with shard_depth == 0.
+    // portfolio resolution down to a single solve.
     EXPECT_EQ(strategy::shard().resolve(no_shard).kind, strategy_kind::single);
     // A 1-member portfolio is a single solve.
     EXPECT_EQ(strategy::portfolio(1).resolve(no_shard).kind, strategy_kind::single);
@@ -205,15 +204,14 @@ TEST(api_v2, solve_equals_submit_shard_strategy) {
 TEST(api_v2, batch_of_singles_equals_submit_many_await_all) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 16);
-    std::vector<smt_query> queries;
+    std::vector<solve_request> queries;
     for (std::uint64_t i = 0; i < 8; ++i)
-        queries.push_back({{tm.mk_eq(x, tm.mk_bv_const(16, i))}, {}});
+        queries.push_back({{tm.mk_eq(x, tm.mk_bv_const(16, i))}, {}, strategy::single()});
     smt_engine via_batch(tm, {.threads = 2});
     smt_engine via_submit(tm, {.threads = 2});
     auto batched = solve_batch(via_batch, queries);
     std::vector<query_handle> handles;
-    for (const auto& q : queries)
-        handles.push_back(via_submit.submit({q.assertions, q.assumptions, strategy::single()}));
+    for (const auto& q : queries) handles.push_back(via_submit.submit(q));
     ASSERT_EQ(batched.size(), handles.size());
     for (std::size_t i = 0; i < handles.size(); ++i) {
         backend_result direct = handles[i].get();
@@ -223,52 +221,19 @@ TEST(api_v2, batch_of_singles_equals_submit_many_await_all) {
     expect_same_counters(via_batch.stats(), via_submit.stats());
 }
 
-TEST(api_v2, shared_future_resolves_and_populates_the_cache) {
+TEST(api_v2, awaited_handle_resolves_and_populates_the_cache) {
     smt::term_manager tm;
     smt_engine engine(tm, {.threads = 2});
-    auto future = submit_portfolio(engine, {unsat_commut(tm)});
-    EXPECT_EQ(future.get().ans, answer::unsat);
-    // The same query through submit: a cache hit resolving immediately.
-    query_handle handle = engine.submit({{unsat_commut(tm)}, {}, strategy::portfolio()});
+    query_handle first = submit_portfolio(engine, {unsat_commut(tm)});
+    EXPECT_EQ(first.get().ans, answer::unsat);
+    // The same query again: a cache hit resolving immediately.
+    query_handle handle = submit_portfolio(engine, {unsat_commut(tm)});
     EXPECT_TRUE(handle.ready());
-    EXPECT_EQ(handle.share().get().ans, answer::unsat);
+    EXPECT_EQ(handle.get().ans, answer::unsat);
     EXPECT_TRUE(handle.stats().cache_hit);
 }
 
 // ---- config precedence ------------------------------------------------------
-
-TEST(config_precedence, sequential_portfolio_plus_shard_request_shards) {
-    // Regression for the previously ambiguous combination: an engine
-    // configured with BOTH the budgeted sequential portfolio and a shard
-    // depth. The contract: a shard-kind request shards; a portfolio-kind
-    // request runs the sequential portfolio. Per-request kind wins over
-    // engine-global flags.
-    smt::term_manager tm;
-    smt_engine engine(tm, {.use_cache = false,
-                           .portfolio_members = 3,
-                           .threads = 2,
-                           .shard_depth = 2,
-                           .sequential_portfolio = true});
-    query_handle sharded = engine.submit({{unsat_commut(tm)}, {}, strategy::shard()});
-    EXPECT_EQ(sharded.get().ans, answer::unsat);
-    EXPECT_EQ(sharded.stats().strategy.kind, strategy_kind::shard);
-    EXPECT_GT(sharded.stats().shard.cubes, 0u);
-    EXPECT_EQ(engine.stats().dispatched.shard, 1u);
-    EXPECT_EQ(engine.stats().dispatched.portfolio, 0u);
-
-    query_handle raced = engine.submit({{unsat_commut(tm)}, {}, strategy::portfolio()});
-    EXPECT_EQ(raced.get().ans, answer::unsat);
-    EXPECT_EQ(raced.stats().strategy.kind, strategy_kind::portfolio);
-    EXPECT_TRUE(raced.stats().strategy.sequential);
-    EXPECT_EQ(raced.stats().shard.cubes, 0u);
-    EXPECT_EQ(engine.stats().dispatched.portfolio, 1u);
-
-    // And the default-depth shard shape inherits exactly that split.
-    shard_stats depth_default;
-    EXPECT_EQ(solve_sharded(engine, {unsat_commut(tm)}, &depth_default).ans, answer::unsat);
-    EXPECT_GT(depth_default.cubes, 0u);
-    EXPECT_EQ(engine.stats().dispatched.shard, 2u);
-}
 
 TEST(config_precedence, per_request_cache_bypass_overrides_engine_default) {
     smt::term_manager tm;

@@ -198,7 +198,8 @@ TEST(portfolio, unsat_answer_matches_single_solver) {
         portfolio_config cfg;
         cfg.members = 4;
         cfg.threads = 4;
-        auto outcome = race([&](unsigned m) { return make_pigeonhole_backend(m, 5); }, cfg);
+        auto outcome =
+            race([&](unsigned m) { return make_pigeonhole_backend(m, 5); }, cfg, nullptr);
         EXPECT_EQ(outcome.result.ans, answer::unsat) << "round " << round;
     }
 }
@@ -222,7 +223,7 @@ TEST(portfolio, sat_answer_deterministic_and_model_valid) {
             build(b->solver());
             return b;
         },
-        cfg);
+        cfg, nullptr);
     ASSERT_EQ(outcome.result.ans, answer::sat);
     // Implication chain from a forced v0: every variable is true in ANY model.
     for (int i = 0; i < 20; ++i)
@@ -232,7 +233,7 @@ TEST(portfolio, sat_answer_deterministic_and_model_valid) {
 TEST(portfolio, single_member_degenerates) {
     portfolio_config cfg;
     cfg.members = 1;
-    auto outcome = race([&](unsigned m) { return make_pigeonhole_backend(m, 4); }, cfg);
+    auto outcome = race([&](unsigned m) { return make_pigeonhole_backend(m, 4); }, cfg, nullptr);
     EXPECT_EQ(outcome.result.ans, answer::unsat);
     EXPECT_EQ(outcome.winner, 0u);
 }
@@ -275,7 +276,7 @@ TEST(query_cache, hit_on_identical_query_set) {
     auto r2 = solve_portfolio(engine, {b, a, a});
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(r2.ans, answer::sat);
-    EXPECT_EQ(r2.model, r1.model);  // memoized model replayed verbatim
+    EXPECT_EQ(r2.model, r1.model);  // memoized model, remapped and verified
     EXPECT_EQ(engine.stats().solver_runs, 1u);
 }
 
@@ -349,6 +350,31 @@ TEST(query_cache, structural_hash_is_construction_order_independent) {
     EXPECT_NE(c2.structural_hash(f2), c2.structural_hash(g2));
 }
 
+// ---- model evaluation -------------------------------------------------------
+
+TEST(model_evaluation, shared_dag_is_walked_once_per_node) {
+    // x squared 64 times: 65 distinct terms but 2^64 root-to-leaf paths, so
+    // a walk that unfolds the DAG into a tree never finishes. Every cache
+    // hit's verification evaluates through this walk.
+    smt::term_manager tm;
+    smt::term x = tm.mk_bv_var("x", 8);
+    smt::term chain = x;
+    std::uint64_t expected = 3;
+    for (int i = 0; i < 64; ++i) {
+        chain = tm.mk_bvmul(chain, chain);
+        expected = (expected * expected) & 0xff;
+    }
+    const smt::env model{{x.id, 3}};
+    EXPECT_EQ(eval_model(tm, chain, model), expected);
+    EXPECT_EQ(model_evaluator(tm, model).value(chain), expected);
+    EXPECT_EQ(eval_model(tm, chain, {}), 0u);  // unbound x completes to zero
+
+    smt::smt_solver solver(tm);
+    solver.assert_term(tm.mk_eq(x, tm.mk_bv_const(8, 3)));
+    ASSERT_EQ(solver.check(), smt::check_result::sat);
+    EXPECT_EQ(solver.model_value(chain), expected);
+}
+
 // ---- batch ------------------------------------------------------------------
 
 TEST(batch, hundred_independent_qfbv_queries) {
@@ -356,13 +382,12 @@ TEST(batch, hundred_independent_qfbv_queries) {
     // query i asserts x == i and x < 50 — sat iff i < 50.
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 32);
-    std::vector<smt_query> queries;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        smt_query q;
-        q.assertions = {tm.mk_eq(x, tm.mk_bv_const(32, i)),
-                        tm.mk_ult(x, tm.mk_bv_const(32, 50))};
-        queries.push_back(std::move(q));
-    }
+    std::vector<solve_request> queries;
+    for (std::uint64_t i = 0; i < 100; ++i)
+        queries.push_back({{tm.mk_eq(x, tm.mk_bv_const(32, i)),
+                            tm.mk_ult(x, tm.mk_bv_const(32, 50))},
+                           {},
+                           strategy::single()});
     smt_engine engine(tm, {.threads = 4});
     auto results = solve_batch(engine, queries);
     ASSERT_EQ(results.size(), 100u);
@@ -379,9 +404,8 @@ TEST(batch, hundred_independent_qfbv_queries) {
 TEST(batch, shares_cache_across_duplicate_queries) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 16);
-    smt_query q;
-    q.assertions = {tm.mk_ult(x, tm.mk_bv_const(16, 7))};
-    std::vector<smt_query> queries(32, q);
+    std::vector<solve_request> queries(
+        32, solve_request{{tm.mk_ult(x, tm.mk_bv_const(16, 7))}, {}, strategy::single()});
     smt_engine engine(tm, {.threads = 4});
     auto results = solve_batch(engine, queries);
     for (const auto& r : results) EXPECT_EQ(r.ans, answer::sat);
@@ -394,14 +418,11 @@ TEST(batch, shares_cache_across_duplicate_queries) {
     EXPECT_EQ(engine.stats().solver_runs, engine.stats().queries - engine.stats().cache_hits -
                                               engine.stats().coalesced);
     for (const auto& r : again) EXPECT_EQ(r.ans, answer::sat);
-    // The structural-cache counters nest inside the invariant: every
-    // structural hit is a cache hit, every remapped model came from a
-    // structural hit, and nothing loads from disk without a cache_path.
-    EXPECT_LE(engine.stats().structural_hits, engine.stats().cache_hits);
-    EXPECT_LE(engine.stats().remapped_models, engine.stats().structural_hits);
+    // The cache counters nest inside the invariant: every remapped model
+    // came from a cache hit, and nothing loads from disk without a
+    // cache_path.
+    EXPECT_LE(engine.stats().remapped_models, engine.stats().cache_hits);
     EXPECT_EQ(engine.stats().persisted_loads, 0u);
-    // One manager, one engine: every hit here replays natively.
-    EXPECT_EQ(engine.stats().structural_hits, 0u);
 }
 
 // ---- engine sessions --------------------------------------------------------

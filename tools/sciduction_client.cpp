@@ -154,8 +154,7 @@ int run_top(service::client& cli, unsigned polls, unsigned interval_ms) {
                   << val(s, "server.queued") << "  results " << val(s, "server.results")
                   << "  threads " << val(s, "pool.threads") << "\n";
         std::cout << "cache hits " << val(s, "cache.hits") << " misses " << val(s, "cache.misses")
-                  << " structural " << val(s, "cache.structural_hits") << "   trace dropped "
-                  << val(s, "trace.dropped") << "\n";
+                  << "   trace dropped " << val(s, "trace.dropped") << "\n";
         std::cout << "service_ms p50 " << val(s, "server.service_ms.p50") << " p90 "
                   << val(s, "server.service_ms.p90") << " p99 " << val(s, "server.service_ms.p99")
                   << "   queue_wait_ms p99 " << val(s, "server.queue_wait_ms.p99") << "\n\n";

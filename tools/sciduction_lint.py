@@ -23,11 +23,7 @@ Invariants
    `throw` in the result-path files needs a `lint: throw-ok(<why>)`
    marker on the same or preceding line, reserved for programming-error
    ctor validation and pre-serving setup.
-4. compat-shims-tests-only: the [[deprecated]] shims in
-   src/substrate/compat.hpp are for out-of-tree callers; in-tree, only
-   tests may include them (they keep the shims compile-covered without
-   letting deprecated entry points creep back into production code).
-5. header-registration: every public header in src/{substrate,service,
+4. header-registration: every public header in src/{substrate,service,
    obs,frontend} must be listed in docs/Doxyfile INPUT and matched by a
    tools/check_headers.sh glob, so new headers cannot dodge the doc
    gates by never being registered.
@@ -95,7 +91,7 @@ RESULT_PATH_FILES = [
 THROW_RE = re.compile(r"\bthrow\b")
 THROW_OK_RE = re.compile(r"lint:\s*throw-ok\(")
 
-# -- invariant 5: header registration ---------------------------------------
+# -- invariant 4: header registration ---------------------------------------
 
 PUBLIC_HEADER_DIRS = ["src/substrate", "src/service", "src/obs", "src/frontend"]
 
@@ -195,27 +191,7 @@ def lint() -> list[str]:
                        "error-status result, or justify with "
                        "`// lint: throw-ok(<why>)` on this or the line above")
 
-    # Invariant 4: compat.hpp included from tests only.
-    compat_include_re = re.compile(r'#\s*include\s*"substrate/compat\.hpp"')
-    test_includes = 0
-    for path in source_files("src", "tools", "tests", "bench", "examples"):
-        if rel(path) == "src/substrate/compat.hpp":
-            continue
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if compat_include_re.search(line):
-                if rel(path).startswith("tests/"):
-                    test_includes += 1
-                else:
-                    report(path, line_no, "compat-shims-tests-only",
-                           "substrate/compat.hpp is for out-of-tree callers; "
-                           "in-tree production code must use "
-                           "smt_engine::submit/solve")
-    if test_includes == 0:
-        report(REPO / "src/substrate/compat.hpp", 1, "compat-shims-tests-only",
-               "no test includes compat.hpp — the deprecated shims are no "
-               "longer compile-covered (tests/compat_test.cpp gone?)")
-
-    # Invariant 5: public headers registered with the doc gates.
+    # Invariant 4: public headers registered with the doc gates.
     doxyfile = REPO / "docs/Doxyfile"
     check_headers = REPO / "tools/check_headers.sh"
     doxy_text = doxyfile.read_text(encoding="utf-8")

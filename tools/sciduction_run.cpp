@@ -299,7 +299,6 @@ int run_smtlib2(const options& opt, const substrate::strategy& strat) {
     std::cout << "c conflicts=" << res.conflicts << " solver_runs=" << stats.solver_runs << "\n";
     if (!opt.cache_path.empty()) {
         std::cout << "c cache hits=" << stats.cache_hits
-                  << " structural_hits=" << stats.structural_hits
                   << " persisted_loads=" << stats.persisted_loads << "\n";
         engine.cache().save();
     }
