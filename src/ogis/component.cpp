@@ -18,7 +18,8 @@ component comp_add() {
             },
             [](const std::vector<std::uint64_t>& a, unsigned w) {
                 return (a[0] + a[1]) & mask_of(w);
-            }};
+            },
+            /*commutative=*/true};
 }
 
 component comp_sub() {
@@ -38,7 +39,8 @@ component comp_mul() {
             },
             [](const std::vector<std::uint64_t>& a, unsigned w) {
                 return (a[0] * a[1]) & mask_of(w);
-            }};
+            },
+            /*commutative=*/true};
 }
 
 component comp_and() {
@@ -46,7 +48,8 @@ component comp_and() {
             [](smt::term_manager& tm, const std::vector<smt::term>& a, unsigned) {
                 return tm.mk_bvand(a[0], a[1]);
             },
-            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] & a[1]; }};
+            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] & a[1]; },
+            /*commutative=*/true};
 }
 
 component comp_or() {
@@ -54,7 +57,8 @@ component comp_or() {
             [](smt::term_manager& tm, const std::vector<smt::term>& a, unsigned) {
                 return tm.mk_bvor(a[0], a[1]);
             },
-            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] | a[1]; }};
+            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] | a[1]; },
+            /*commutative=*/true};
 }
 
 component comp_xor() {
@@ -62,7 +66,8 @@ component comp_xor() {
             [](smt::term_manager& tm, const std::vector<smt::term>& a, unsigned) {
                 return tm.mk_bvxor(a[0], a[1]);
             },
-            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] ^ a[1]; }};
+            [](const std::vector<std::uint64_t>& a, unsigned) { return a[0] ^ a[1]; },
+            /*commutative=*/true};
 }
 
 component comp_not() {

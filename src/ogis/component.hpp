@@ -25,6 +25,16 @@ struct component {
         symbolic;
     /// Concrete semantics (must agree with `symbolic` bit-for-bit).
     std::function<std::uint64_t(const std::vector<std::uint64_t>&, unsigned width)> concrete;
+    /// Binary and f(a, b) == f(b, a). The synthesis encoding then orders
+    /// the two operand locations (I_{i,0} <=u I_{i,1}), beside its ordering
+    /// of identical components by output location. Both are sound
+    /// symmetry breaking: every program has a canonical form satisfying
+    /// them (relabel identical components by output slot, then sort each
+    /// commutative operand pair) that computes the same function, so
+    /// restricting candidate and rival to canonical forms changes neither
+    /// the synthesis answer nor whether the candidate is semantically
+    /// unique in C_H. The ordering is `<=`, not `<`: add(v0, v0) is legal.
+    bool commutative = false;
 };
 
 // ---- the standard library ----

@@ -61,13 +61,17 @@ public:
         }
         for (const term& r : locs_.prog_out) cs.push_back(tm_.mk_ult(r, loc_const(top)));
         // Symmetry breaking: interchangeable (identical) components are
-        // ordered by output location. Sound: every program has a canonical
-        // relabeling; it shrinks both the search and — more importantly —
-        // the uniqueness proof of the distinguishing query.
+        // ordered by output location, and the operands of a commutative
+        // component by location (sound: see component::commutative). It
+        // shrinks both the search and — more importantly — the uniqueness
+        // proof of the distinguishing query.
         for (std::size_t i = 0; i < locs_.comp_out.size(); ++i)
             for (std::size_t j = i + 1; j < locs_.comp_out.size(); ++j)
                 if (cfg_.library[i].name == cfg_.library[j].name)
                     cs.push_back(tm_.mk_ult(locs_.comp_out[i], locs_.comp_out[j]));
+        for (std::size_t i = 0; i < locs_.comp_in.size(); ++i)
+            if (cfg_.library[i].commutative)
+                cs.push_back(tm_.mk_ule(locs_.comp_in[i][0], locs_.comp_in[i][1]));
         return tm_.mk_and(cs);
     }
 
@@ -182,6 +186,10 @@ private:
 
 synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
     if (cfg.library.empty()) throw std::invalid_argument("synthesize: empty library");
+    for (const component& c : cfg.library)
+        if (c.commutative && c.arity != 2)
+            throw std::invalid_argument("synthesize: commutative component " + c.name +
+                                        " is not binary");
     const auto start = std::chrono::steady_clock::now();
 
     term_manager tm;
@@ -236,8 +244,17 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
 
     // Every query flows through the one submit() entry point; the engine
     // defaults (cfg.engine) decide members/sharing, exactly as check() did.
+    // Only queries this run solved count conflicts: a cache hit or a
+    // coalesced duplicate reports the conflicts of a solve it did not run.
+    auto count_conflicts = [&](const substrate::query_handle& handle) {
+        const substrate::request_stats s = handle.stats();
+        if (!s.cache_hit && !s.coalesced) outcome.stats.conflicts += s.conflicts;
+    };
     auto decide = [&](std::vector<term> assertions) {
-        return engine.submit(std::move(assertions), substrate::strategy::portfolio()).get();
+        auto handle = engine.submit(std::move(assertions), substrate::strategy::portfolio());
+        substrate::backend_result result = handle.get();
+        count_conflicts(handle);
+        return result;
     };
 
     auto synth = [&](const std::vector<example>& examples) -> std::optional<lf_program> {
@@ -342,9 +359,15 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
                 spec_handle =
                     engine.submit(std::move(synth_asserts), substrate::strategy::portfolio());
             }
+            auto settle_speculation = [&] {
+                if (!speculated) return;
+                spec_handle.wait();
+                count_conflicts(spec_handle);
+            };
             substrate::backend_result dist = dist_handle.get();
+            count_conflicts(dist_handle);
             if (!dist.is_sat()) {
-                if (speculated) spec_handle.wait();
+                settle_speculation();
                 loop.status = core::loop_status::success;
                 loop.artifact = std::move(candidate);
                 break;
@@ -357,12 +380,13 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
             if (consistent(*candidate, e)) {
                 // Candidate survives; the speculation (if any) must resolve
                 // before the next round builds terms.
-                if (speculated) spec_handle.wait();
+                settle_speculation();
                 continue;
             }
             candidate.reset();
             if (speculated) {
                 const substrate::backend_result spec = spec_handle.get();
+                count_conflicts(spec_handle);
                 if (!spec.is_sat()) {
                     // Defensive: cannot happen while `candidate` witnessed
                     // consistency, but an unsat here would mean even the

@@ -77,6 +77,9 @@ struct synthesis_stats {
     int speculative_queries = 0;  ///< overlapped re-synthesis solves launched
     std::uint64_t substrate_cache_hits = 0;  ///< solver queries answered memoized
     std::uint64_t solver_runs = 0;           ///< solver instances actually run
+    /// Solver conflicts of the queries this run solved; a cache hit or a
+    /// coalesced duplicate adds none.
+    std::uint64_t conflicts = 0;
     double elapsed_seconds = 0;
 };
 

@@ -22,6 +22,9 @@ TEST_P(component_agreement, concrete_matches_symbolic) {
     const unsigned width = 16;
     util::rng r(static_cast<std::uint64_t>(GetParam()));
     for (const component& c : library()) {
+        if (c.commutative) {
+            ASSERT_EQ(c.arity, 2u) << c.name;
+        }
         for (int t = 0; t < 10; ++t) {
             std::vector<std::uint64_t> args;
             for (unsigned i = 0; i < c.arity; ++i)
@@ -38,8 +41,19 @@ TEST_P(component_agreement, concrete_matches_symbolic) {
             }
             smt::term sym = c.symbolic(tm, arg_terms, width);
             EXPECT_EQ(tm.evaluate(sym, e), concrete) << c.name << " trial " << t;
+            if (c.commutative) {
+                // The synthesis encoding orders these operands, which is
+                // sound only if swapping them keeps both semantics.
+                EXPECT_EQ(c.concrete({args[1], args[0]}, width) & smt::term_manager::mask(width),
+                          concrete)
+                    << c.name << " trial " << t;
+                smt::term swapped = c.symbolic(tm, {arg_terms[1], arg_terms[0]}, width);
+                EXPECT_EQ(tm.evaluate(swapped, e), concrete) << c.name << " trial " << t;
+            }
         }
     }
+    for (const component& c : {comp_add(), comp_mul(), comp_and(), comp_or(), comp_xor()})
+        EXPECT_TRUE(c.commutative) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, component_agreement, ::testing::Values(1, 2, 3));
@@ -160,8 +174,55 @@ TEST(synthesis, stats_populated) {
     EXPECT_GE(out.stats.oracle_queries, 2u);  // the seeds
     EXPECT_GE(out.stats.synthesis_queries, 1);
     EXPECT_GE(out.stats.distinguish_queries, 1);
+    EXPECT_GT(out.stats.conflicts, 0u);
     EXPECT_GT(out.stats.elapsed_seconds, 0.0);
     EXPECT_NE(out.report.hypothesis.name.find("component library"), std::string::npos);
+}
+
+TEST(synthesis, commutative_operands_may_repeat) {
+    // 2x over {add} is only add(v0, v0): the operand ordering must be <=,
+    // or this library would be reported unrealizable.
+    class doubling final : public spec_oracle {
+    public:
+        io_vector query(const io_vector& in) override { return {(2 * in[0]) & 0xff}; }
+    };
+    synthesis_config cfg;
+    cfg.width = 8;
+    cfg.library = {comp_add()};
+    doubling oracle;
+    auto out = synthesize(cfg, oracle);
+    ASSERT_EQ(out.status, core::loop_status::success);
+    ASSERT_TRUE(out.program.has_value());
+    ASSERT_EQ(out.program->lines.size(), 1u);
+    EXPECT_EQ(out.program->lines[0].args, (std::vector<int>{0, 0}));
+    EXPECT_EQ(out.program->outputs, (std::vector<int>{1}));
+}
+
+TEST(synthesis, rejects_commutative_component_that_is_not_binary) {
+    // The operand ordering reads exactly two operand locations.
+    auto bench = benchmark_isolate_rightmost();
+    bench.config.library[0].commutative = true;  // neg, arity 1
+    EXPECT_THROW(run_benchmark(bench), std::invalid_argument);
+}
+
+TEST(synthesis, commutative_ordering_keeps_answer_and_cuts_conflicts) {
+    // The operand ordering is symmetry breaking only: the same examples
+    // lead to the same answer, with a uniqueness proof that no longer
+    // refutes each rival wiring once per operand order.
+    auto ordered = benchmark_p1_interchange();
+    ordered.config.width = 8;
+    auto unordered = ordered;
+    for (component& c : unordered.config.library) {
+        ASSERT_TRUE(c.commutative) << c.name;
+        c.commutative = false;
+    }
+    auto with_order = run_benchmark(ordered);
+    auto without_order = run_benchmark(unordered);
+    expect_correct(ordered, with_order, 8);
+    expect_correct(unordered, without_order, 8);
+    EXPECT_EQ(with_order.stats.iterations, without_order.stats.iterations);
+    EXPECT_EQ(with_order.stats.oracle_queries, without_order.stats.oracle_queries);
+    EXPECT_LT(with_order.stats.conflicts, without_order.stats.conflicts);
 }
 
 // ---- Fig. 7: guarantees under an invalid structure hypothesis --------------------

@@ -436,6 +436,7 @@ TEST(application_routing, ogis_overlapped_pipeline_synthesizes_correct_program) 
         EXPECT_EQ(outcome.program->eval(bench.config.library, in), bench.reference(in));
     }
     EXPECT_GT(outcome.stats.oracle_queries, 0u);
+    EXPECT_GT(outcome.stats.conflicts, 0u);
 }
 
 TEST(application_routing, ogis_parallel_seed_labelling_matches_sequential) {
