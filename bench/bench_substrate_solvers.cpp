@@ -182,12 +182,12 @@ BENCHMARK(BM_sat_pigeonhole_shard_sharing)
     ->Args({8, 2})
     ->Unit(benchmark::kMillisecond);
 
-// Clause sharing across budgeted-portfolio members on one core: four
-// diversified members advance in 500-conflict slices over a shared pool
-// (free-running visibility — the serial schedule keeps it reproducible)
-// vs. the same slicing with no exchange. Deterministic: on PHP-8 the
-// exchange cuts the total conflicts across members from ~79.6k to ~63.5k
-// (PHP-7: ~13.6k to ~9.8k).
+// Clause sharing across deterministic-portfolio members: four diversified
+// members advance in 500-conflict rounds, exchanging clauses through a pool
+// sealed at each round barrier, vs. the same rounds with no exchange.
+// Deterministic whatever the pool width: on PHP-8 the exchange cuts the
+// total conflicts across members from ~79.6k to ~69.6k (PHP-7: ~13.6k to
+// ~13.55k).
 void BM_sat_pigeonhole_portfolio_sharing(benchmark::State& state) {
     const int holes = static_cast<int>(state.range(0));
     std::uint64_t shared_conflicts = 0;
@@ -202,7 +202,7 @@ void BM_sat_pigeonhole_portfolio_sharing(benchmark::State& state) {
         };
         substrate::portfolio_config cfg;
         cfg.members = 4;
-        cfg.sequential = true;
+        cfg.sharing.deterministic = true;
         cfg.sharing.slice_conflicts = 500;
         cfg.sharing.max_clause_size = 16;
         cfg.sharing.max_lbd = 16;
@@ -484,7 +484,6 @@ void BM_smt_engine_auto_strategy(benchmark::State& state) {
     std::uint64_t picked_single = 0;
     std::uint64_t picked_portfolio = 0;
     std::uint64_t picked_shard = 0;
-    std::uint64_t picked_sop = 0;
     std::uint64_t hits = 0;
     for (auto _ : state) {
         smt::term_manager tm;
@@ -512,7 +511,6 @@ void BM_smt_engine_auto_strategy(benchmark::State& state) {
         picked_single += stats.auto_picks.single;
         picked_portfolio += stats.auto_picks.portfolio;
         picked_shard += stats.auto_picks.shard;
-        picked_sop += stats.auto_picks.shard_over_portfolio;
         hits += stats.cache_hits;
     }
     const auto iters = static_cast<double>(state.iterations());
@@ -520,8 +518,6 @@ void BM_smt_engine_auto_strategy(benchmark::State& state) {
     state.counters["auto_portfolio"] =
         benchmark::Counter(static_cast<double>(picked_portfolio) / iters);
     state.counters["auto_shard"] = benchmark::Counter(static_cast<double>(picked_shard) / iters);
-    state.counters["auto_shard_over_portfolio"] =
-        benchmark::Counter(static_cast<double>(picked_sop) / iters);
     state.counters["cache_hits"] = benchmark::Counter(static_cast<double>(hits) / iters);
 }
 BENCHMARK(BM_smt_engine_auto_strategy)->Unit(benchmark::kMillisecond);

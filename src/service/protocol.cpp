@@ -222,20 +222,22 @@ void decode_dag(smt::term_manager& tm, wire_reader& r, std::vector<smt::term>& a
 
 // ---- strategy codec ---------------------------------------------------------
 
-// Presence bits of the strategy block's optional fields.
+// Presence bits of the strategy block's optional fields. Bits 1 (the
+// removed sequential-portfolio flag) and 7 are unassigned: decode rejects
+// them.
 constexpr std::uint8_t has_members = 1u << 0;
-constexpr std::uint8_t has_sequential = 1u << 1;
 constexpr std::uint8_t has_depth = 1u << 2;
 constexpr std::uint8_t has_probes = 1u << 3;
 constexpr std::uint8_t has_sharing = 1u << 4;
 constexpr std::uint8_t has_use_cache = 1u << 5;
 constexpr std::uint8_t has_features = 1u << 6;
+constexpr std::uint8_t known_fields =
+    has_members | has_depth | has_probes | has_sharing | has_use_cache | has_features;
 
 void encode_strategy(const substrate::strategy& s, wire_writer& w) {
     w.u8(static_cast<std::uint8_t>(s.kind));
     std::uint8_t mask = 0;
     if (s.members) mask |= has_members;
-    if (s.sequential) mask |= has_sequential;
     if (s.depth) mask |= has_depth;
     if (s.probe_candidates) mask |= has_probes;
     if (s.sharing) mask |= has_sharing;
@@ -243,7 +245,6 @@ void encode_strategy(const substrate::strategy& s, wire_writer& w) {
     if (s.features) mask |= has_features;
     w.u8(mask);
     if (s.members) w.u32(*s.members);
-    if (s.sequential) w.u8(*s.sequential ? 1 : 0);
     if (s.depth) w.u32(*s.depth);
     if (s.probe_candidates) w.u32(*s.probe_candidates);
     if (s.sharing) {
@@ -269,12 +270,12 @@ void encode_strategy(const substrate::strategy& s, wire_writer& w) {
 substrate::strategy decode_strategy(wire_reader& r) {
     substrate::strategy s;
     const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(substrate::strategy_kind::shard_over_portfolio))
+    if (kind > static_cast<std::uint8_t>(substrate::strategy_kind::shard))
         throw wire_error("unknown strategy kind");
     s.kind = static_cast<substrate::strategy_kind>(kind);
     const std::uint8_t mask = r.u8();
+    if ((mask & ~known_fields) != 0) throw wire_error("unknown strategy field");
     if ((mask & has_members) != 0) s.members = r.u32();
-    if ((mask & has_sequential) != 0) s.sequential = r.u8() != 0;
     if ((mask & has_depth) != 0) s.depth = r.u32();
     if ((mask & has_probes) != 0) s.probe_candidates = r.u32();
     if ((mask & has_sharing) != 0) {
@@ -420,7 +421,7 @@ progress_message decode_progress(const std::vector<std::uint8_t>& payload) {
     msg.cubes_done = r.u64();
     msg.conflicts = r.u64();
     const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(substrate::strategy_kind::shard_over_portfolio))
+    if (kind > static_cast<std::uint8_t>(substrate::strategy_kind::shard))
         throw wire_error("strategy kind out of range in progress payload");
     msg.strategy = static_cast<substrate::strategy_kind>(kind);
     if (!r.exhausted()) throw wire_error("trailing bytes after progress payload");

@@ -34,8 +34,10 @@ namespace sciduction::service {
 
 /// Protocol revision carried in hello/hello_ok; bumped on breaking change.
 /// v2: progress_reply carries live conflicts + the resolved strategy, and
-/// the trace opcode exports the daemon's span trace as JSON.
-inline constexpr std::uint32_t protocol_version = 2;
+/// the trace opcode exports the daemon's span trace as JSON. v3: strategy
+/// kinds end at shard, and the strategy block's presence bit 1 (the
+/// sequential-portfolio flag) is gone; unknown presence bits are rejected.
+inline constexpr std::uint32_t protocol_version = 3;
 /// Hard ceiling on one frame (opcode + payload), requests and replies.
 inline constexpr std::uint32_t max_frame_bytes = 4u << 20;
 

@@ -38,7 +38,7 @@
 
 namespace sciduction::substrate {
 
-/// The round length the budgeted disciplines fall back to when
+/// The round length the deterministic discipline falls back to when
 /// sharing_config::slice_conflicts is left at 0.
 inline constexpr std::uint64_t default_slice_conflicts = 2000;
 
@@ -51,7 +51,9 @@ struct sharing_config {
     /// Reproducible sharing: members run in conflict-budgeted rounds and
     /// exchange only at the round barriers (seal_round), so answers and
     /// per-member stats are identical for 1 and N threads. Costs up to one
-    /// round of latency per exchanged clause.
+    /// round of latency per exchanged clause. A portfolio runs its rounds
+    /// whenever this is set; `enabled` then only decides whether clauses
+    /// are exchanged at the barriers.
     bool deterministic = false;
     /// Only clauses with at most this many literals are pooled (short
     /// clauses prune the most per byte; ManySAT's classic default is 8).
@@ -59,10 +61,10 @@ struct sharing_config {
     /// Only clauses with LBD (glue) at most this are pooled; low-LBD
     /// clauses are the ones likely to be useful outside their producer.
     unsigned max_lbd = 6;
-    /// Conflicts each member runs per round in the budgeted/deterministic
-    /// disciplines (exchange happens at the round barriers). Also the time
-    /// slice of the budgeted sequential portfolio, which uses this knob
-    /// even with sharing disabled. 0 picks default_slice_conflicts.
+    /// Conflicts each member runs per round in the deterministic discipline
+    /// (exchange happens at the round barriers). A deterministic portfolio
+    /// uses this knob even with sharing disabled. 0 picks
+    /// default_slice_conflicts.
     std::uint64_t slice_conflicts = default_slice_conflicts;
     /// At most this many foreign clauses are handed to a member per import
     /// point (solve start / restart boundary); the backlog drains over
@@ -101,7 +103,7 @@ struct exchange_stats {
 };
 
 /// The shared clause pool. One pool per co-operating solver group (a
-/// portfolio race, a shard tree, a budgeted sequential portfolio); members
+/// portfolio race or a shard tree); members
 /// register once and then publish/fetch concurrently. All public methods
 /// are thread-safe.
 class clause_pool {

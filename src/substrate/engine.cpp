@@ -141,7 +141,7 @@ void engine_session::note_completed(const backend_result& result) {
 std::string engine_config::validate() const {
     if (portfolio_members == 0) return "portfolio_members must be >= 1";
     if (portfolio_members > 1024) return "portfolio_members must be <= 1024";
-    if (threads > 1024) return "threads must be <= 1024";
+    if (threads > max_threads) return "threads must be <= " + std::to_string(max_threads);
     if (shard_depth > 12) return "shard_depth must be <= 12 (the cube generator's clamp)";
     if (shard_probe_candidates == 0) return "shard_probe_candidates must be >= 1";
     if (sharing.enabled && sharing.max_clause_size == 0)
@@ -156,7 +156,6 @@ void strategy_picks::count(strategy_kind k) {
         case strategy_kind::single: ++single; break;
         case strategy_kind::portfolio: ++portfolio; break;
         case strategy_kind::shard: ++shard; break;
-        case strategy_kind::shard_over_portfolio: ++shard_over_portfolio; break;
         case strategy_kind::automatic: break;  // never dispatched
     }
 }
@@ -179,10 +178,6 @@ resolved_strategy defaults_from(const engine_config& cfg) {
 /// Members the classifier falls back to when it picks a portfolio but
 /// neither the request nor the engine names a member count > 1.
 constexpr unsigned auto_portfolio_members = 4;
-
-/// Coarse bound on the auto-selection history: structural keys are small,
-/// but unbounded loops should not grow the map without limit.
-constexpr std::size_t history_bound = 1 << 16;
 
 }  // namespace
 
@@ -242,8 +237,7 @@ void smt_engine::release_session_lane(thread_pool::lane_id lane) {
     if (pool_) pool_->release_lane(lane);
 }
 
-backend_result smt_engine::run_request(const solve_request& req, const query_key& key,
-                                       detail::query_state& state) {
+backend_result smt_engine::run_request(const solve_request& req, detail::query_state& state) {
     resolved_strategy rs;
     {
         sd::lock_guard lock(state.mutex);
@@ -286,14 +280,6 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
         // into existence: a classification that picks `single` must not
         // spawn workers.
         f.threads = cfg_.threads == 0 ? default_concurrency() : cfg_.threads;
-        {
-            sd::lock_guard lock(history_mutex_);
-            auto it = history_.find(key);
-            if (it != history_.end()) {
-                f.has_history = true;
-                f.prior_conflicts = it->second.conflicts;
-            }
-        }
         // Explicitly-set request fields survive the classification: the
         // precedence order is request field > classifier pick > engine
         // default.
@@ -350,7 +336,6 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
             portfolio_config pcfg;
             pcfg.members = rs.members;
             pcfg.sharing = rs.sharing;
-            pcfg.sequential = rs.sequential;
             // Member 0's options are the baseline, so a prototype built for
             // the classifier is recycled as member 0 instead of re-blasting.
             auto recycled = std::make_shared<std::unique_ptr<smt_backend>>(std::move(proto));
@@ -364,11 +349,7 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
                 instrument(*b);
                 return b;
             };
-            // The sequential budgeted portfolio runs on this worker thread
-            // (no pool forced into existence); the racing modes share the
-            // engine's pool.
-            portfolio_outcome outcome =
-                race(factory, pcfg, pcfg.sequential ? nullptr : &pool(), controls);
+            portfolio_outcome outcome = race(factory, pcfg, &pool(), controls);
             result = std::move(outcome.result);
             sd::lock_guard lock(state.mutex);
             state.stats.winner = outcome.winner;
@@ -376,8 +357,7 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
             state.stats.rounds = outcome.rounds;
             break;
         }
-        case strategy_kind::shard:
-        case strategy_kind::shard_over_portfolio: {
+        case strategy_kind::shard: {
             // Prototype: blast once (same construction order as every
             // replica, so cube literals transfer) and run the lookahead
             // pass on its SAT core.
@@ -386,7 +366,6 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
                 *proto->sat_core(),
                 {.depth = rs.depth, .probe_candidates = rs.probe_candidates});
             state.cubes_total.store(plan.cubes.size(), std::memory_order_relaxed);
-            const bool diversify = rs.kind == strategy_kind::shard_over_portfolio;
             shard_outcome outcome = solve_cubes(
                 [&](std::size_t pair) {
                     {
@@ -394,11 +373,7 @@ backend_result smt_engine::run_request(const solve_request& req, const query_key
                         ++stats_.solver_runs;
                     }
                     auto b = std::make_unique<smt_backend>(
-                        tm_, req.assertions, req.assumptions,
-                        sat::apply_features(diversify
-                                                ? diversified_options(static_cast<unsigned>(pair))
-                                                : sat::solver_options{},
-                                            rs.features),
+                        tm_, req.assertions, req.assumptions, sat::apply_features({}, rs.features),
                         "shard#" + std::to_string(pair));
                     instrument(*b);
                     return b;
@@ -436,7 +411,7 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
     solve_span.arg("query", state.query_id);
     backend_result result;
     try {
-        result = run_request(req, key, state);
+        result = run_request(req, state);
         resolved_strategy ran;
         {
             sd::lock_guard slock(state.mutex);
@@ -445,14 +420,6 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
         solve_span.arg("strategy", static_cast<std::uint64_t>(ran.kind));
         solve_span.arg("conflicts", result.conflicts);
         if (ran.use_cache) cache_->insert_prepared(tm_, prep, result);
-        if (result.ans != answer::unknown) {
-            // Record the outcome for the classifier. Unknown results
-            // (cancelled / budget-exhausted) say nothing about the query's
-            // cost and are not recorded.
-            sd::lock_guard hlock(history_mutex_);
-            if (history_.size() >= history_bound) history_.clear();
-            history_[key] = solve_profile{result.conflicts, ran.kind};
-        }
     } catch (const std::exception& e) {
         // The regular error model: a failure inside the solve is serialized
         // as a solve_status::internal result, never rethrown into the

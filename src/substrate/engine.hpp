@@ -12,12 +12,12 @@
 ///                      (optionally capacity-bounded with LRU eviction);
 ///                      every sat hit is remapped and verified by evaluation;
 ///   * single         — one solver instance;
-///   * portfolio      — races diversified instances (threaded, or budgeted
-///                      sequential via the request's strategy::sequential);
-///   * shard          — cube-and-conquers one hard query across the pool
-///                      (shard_over_portfolio diversifies the pairs);
+///   * portfolio      — races diversified instances on the pool (in
+///                      reproducible budgeted rounds with
+///                      sharing.deterministic);
+///   * shard          — cube-and-conquers one hard query across the pool;
 ///   * automatic      — `strategy::auto_select` classifies the query on
-///                      cheap structural features and per-key history;
+///                      cheap structural features;
 ///   * coalescing     — a submit equal to one already in flight shares its
 ///                      handle instead of re-solving.
 /// `submit` is asynchronous; `solve` is its synchronous twin (executed on
@@ -122,15 +122,12 @@ struct engine_config {
 
 /// Per-strategy dispatch counters (how often each concrete kind ran).
 struct strategy_picks {
-    std::uint64_t single = 0;                ///< single-instance solves
-    std::uint64_t portfolio = 0;             ///< portfolio races (incl. sequential)
-    std::uint64_t shard = 0;                 ///< cube-and-conquer dispatches
-    std::uint64_t shard_over_portfolio = 0;  ///< diversified-pair shard dispatches
+    std::uint64_t single = 0;     ///< single-instance solves
+    std::uint64_t portfolio = 0;  ///< portfolio races
+    std::uint64_t shard = 0;      ///< cube-and-conquer dispatches
 
     /// Sum over all kinds.
-    [[nodiscard]] std::uint64_t total() const {
-        return single + portfolio + shard + shard_over_portfolio;
-    }
+    [[nodiscard]] std::uint64_t total() const { return single + portfolio + shard; }
     /// Bumps the counter matching `k` (automatic is never dispatched).
     void count(strategy_kind k);
 };
@@ -158,8 +155,8 @@ struct query_progress {
     bool started = false;           ///< a worker picked the request up
     bool finished = false;          ///< the result is ready
     bool cancel_requested = false;  ///< cancel() was called on a handle
-    std::size_t cubes_total = 0;    ///< shard kinds: cubes in the dispatched plan
-    std::size_t cubes_done = 0;     ///< shard kinds: cubes settled so far
+    std::size_t cubes_total = 0;    ///< kind shard: cubes in the dispatched plan
+    std::size_t cubes_done = 0;     ///< kind shard: cubes settled so far
     /// Live solver conflicts spent so far, sampled at restart boundaries
     /// (the sat::solver progress hook); 0 until the first restart.
     std::uint64_t conflicts = 0;
@@ -179,11 +176,11 @@ struct request_stats {
     bool auto_selected = false;  ///< strategy::auto_select made the pick
     bool cache_hit = false;      ///< answered from the query cache
     bool coalesced = false;      ///< this handle joined an in-flight duplicate
-    unsigned winner = 0;         ///< portfolio kinds: member that answered
+    unsigned winner = 0;         ///< kind portfolio: member that answered
     std::string winner_name;     ///< its backend name (empty otherwise)
     std::uint64_t conflicts = 0; ///< conflicts of the returned result
     std::uint64_t rounds = 0;    ///< budgeted-discipline exchange rounds
-    shard_stats shard;           ///< shard kinds: work breakdown (else zeroed)
+    shard_stats shard;           ///< kind shard: work breakdown (else zeroed)
     /// Why the solve ended the way it did (mirrors the result's
     /// solve_status; `ok` until completion). A handle-level timeout is
     /// reported on the result `get()` returns, not here — the shared solve
@@ -318,9 +315,8 @@ private:
 };
 
 /// The deductive-query facade: one engine per (term_manager, workload)
-/// owning the query cache, the worker pool, the per-key outcome history
-/// that feeds strategy::auto_select, and the strategy defaults. See the
-/// file comment and docs/ARCHITECTURE.md.
+/// owning the query cache, the worker pool and the strategy defaults. See
+/// the file comment and docs/ARCHITECTURE.md.
 class smt_engine {
 public:
     /// Binds the engine to `tm` (which must outlive it) with `cfg`.
@@ -384,10 +380,9 @@ private:
     query_handle do_submit(solve_request req, bool inline_exec,
                            std::shared_ptr<engine_session> session);
     /// Executes one resolved request on the calling (worker) thread.
-    backend_result run_request(const solve_request& req, const query_key& key,
-                               detail::query_state& state);
-    /// run_request plus the completion protocol: cache insert, history
-    /// record, inflight erase, finished flag. Caught exceptions are
+    backend_result run_request(const solve_request& req, detail::query_state& state);
+    /// run_request plus the completion protocol: cache insert, inflight
+    /// erase, finished flag. Caught exceptions are
     /// serialized as solve_status::internal results (the regular error
     /// model), never rethrown into the future. `prep` is the query's
     /// one-time canonicalization (key + structural form), computed by
@@ -422,19 +417,10 @@ private:
     sd::mutex inflight_mutex_;
     std::unordered_map<query_key, inflight_entry, query_key_hash> inflight_
         SD_GUARDED_BY(inflight_mutex_);
-    // Per-key outcome history feeding strategy::auto_select (survives cache
-    // bypass and eviction; coarsely bounded, see engine.cpp).
-    struct solve_profile {
-        std::uint64_t conflicts = 0;
-        strategy_kind kind = strategy_kind::single;
-    };
-    sd::mutex history_mutex_;
-    std::unordered_map<query_key, solve_profile, query_key_hash> history_
-        SD_GUARDED_BY(history_mutex_);
     mutable sd::mutex stats_mutex_;
     engine_stats stats_ SD_GUARDED_BY(stats_mutex_);
     // The pool is declared last on purpose: submitted tasks touch cache_,
-    // inflight_, history_ and stats_, so ~smt_engine must drain the pool
+    // inflight_ and stats_, so ~smt_engine must drain the pool
     // (members are destroyed in reverse declaration order) before any of
     // those die.
     sd::mutex pool_mutex_;

@@ -122,14 +122,13 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
     return state.outcome;  // all-unknown leaves the default (answer::unknown)
 }
 
-/// Budgeted-rounds driver: members advance in fixed conflict slices with an
-/// exchange barrier between rounds. Every member's work in round r depends
-/// only on its own deterministic search plus the pool content sealed at
-/// round r-1, so the whole outcome is reproducible across thread counts —
-/// and `pool == nullptr` (the sequential budgeted portfolio) is just the
-/// one-thread schedule of the same computation.
+/// Budgeted rounds: members advance in fixed conflict slices with a
+/// barrier between rounds, where a shared pool (sharing.enabled) is sealed.
+/// Every member's work in round r depends only on its own deterministic
+/// search plus the pool content sealed at round r-1, so the whole outcome
+/// is reproducible across thread counts.
 portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_config& cfg,
-                              thread_pool* pool, const solve_controls& controls) {
+                              thread_pool& pool, const solve_controls& controls) {
     const unsigned members = cfg.members == 0 ? 1 : cfg.members;
     const std::uint64_t slice = cfg.sharing.slice_conflicts == 0 ? default_slice_conflicts
                                                                  : cfg.sharing.slice_conflicts;
@@ -162,20 +161,16 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
             }
         };
         // Members are independent within a round (the pool is frozen), so
-        // the parallel and sequential schedules compute the same thing.
-        // The round span is logical time made visible: round numbers are
-        // identical across thread counts even though wall time is not.
+        // every schedule of the round computes the same thing. The round
+        // span is logical time made visible: round numbers are identical
+        // across thread counts even though wall time is not.
         obs::span round_span(controls.trace, controls.trace_track,
                              "round#" + std::to_string(out.rounds));
         round_span.arg("query", controls.trace_query);
         round_span.arg("round", out.rounds);
-        if (pool != nullptr) {
-            pool->parallel_for(members, run_member);
-        } else {
-            for (unsigned m = 0; m < members; ++m) run_member(m);
-        }
+        pool.parallel_for(members, run_member);
         round_span.end();
-        if (cfg.sharing.enabled && cfg.sharing.deterministic) exchange.seal_round();
+        if (cfg.sharing.enabled) exchange.seal_round();
         // External cancellation and budget exhaustion resolve at the round
         // barrier (deterministically for the budget: member conflict counts
         // are scheduling-independent). Either finalizes with unknown.
@@ -233,15 +228,13 @@ portfolio_outcome race(const backend_factory& factory, const portfolio_config& c
                        thread_pool* pool, const solve_controls& controls) {
     const unsigned members = cfg.members == 0 ? 1 : cfg.members;
     if (members == 1) return race_single(factory, controls);
-    if (cfg.sequential) return race_rounds(factory, cfg, nullptr, controls);
     std::unique_ptr<thread_pool> transient;
     if (pool == nullptr) {
         transient = std::make_unique<thread_pool>(
             cfg.threads == 0 ? std::min(members, default_concurrency()) : cfg.threads);
         pool = transient.get();
     }
-    if (cfg.sharing.enabled && cfg.sharing.deterministic)
-        return race_rounds(factory, cfg, pool, controls);
+    if (cfg.sharing.deterministic) return race_rounds(factory, cfg, *pool, controls);
     if (cfg.sharing.enabled) {
         clause_pool exchange(cfg.sharing);
         return race_free(factory, members, *pool, &exchange, controls);

@@ -21,13 +21,10 @@
 ///                       learnt clauses and import each other's at restart
 ///                       boundaries (sharing.enabled);
 ///  * budgeted rounds  — members advance in fixed conflict-budget slices
-///                       with an exchange barrier between rounds. With
-///                       threads this is the deterministic-sharing mode
-///                       (identical answers/stats for 1 vs N threads); on
-///                       one core (sequential = true) it is the budgeted
-///                       sequential portfolio — diversification benefits
-///                       without a second core, pool inherited across
-///                       slices.
+///                       with a barrier between rounds, exchanging clauses
+///                       there when sharing.enabled is also set
+///                       (sharing.deterministic): identical answers and
+///                       stats for 1 vs N threads.
 #pragma once
 
 #include <functional>
@@ -50,14 +47,8 @@ struct portfolio_config {
     unsigned threads = 0;
     /// Learnt-clause exchange between members. Off by default (legacy
     /// behaviour); sharing.deterministic selects the budgeted-rounds
-    /// discipline below.
+    /// discipline, whose slice length is sharing.slice_conflicts.
     sharing_config sharing{};
-    /// Budgeted *sequential* portfolio: time-slice the members on the
-    /// calling thread instead of racing them on a pool. Diversified member
-    /// strategies (and, with sharing.enabled, the shared clause pool) still
-    /// pay off on single-core hosts. Fully deterministic. The slice length
-    /// is sharing.slice_conflicts (honoured even with sharing disabled).
-    bool sequential = false;
 };
 
 /// Builds the member'th diversified instance of one problem. Member 0 must
@@ -80,21 +71,20 @@ struct portfolio_outcome {
     /// Aggregated clause-exchange counters over all members (all zero when
     /// sharing is off).
     sharing_counters sharing{};
-    /// Exchange rounds driven (budgeted modes only; 0 in the free races).
+    /// Rounds driven (budgeted rounds only; 0 in the free races).
     std::uint64_t rounds = 0;
 };
 
 /// Races cfg.members instances built by `factory` and returns the first
 /// definite answer, cancelling the losers. Answer unknown only if every
-/// member returned unknown. Threaded races run on `pool`; a null pool spins
-/// up a transient one (callers racing in a loop should hold a pool). A
-/// sequential config runs on the calling thread whatever `pool` is.
+/// member returned unknown. Members run on `pool`; a null pool spins up a
+/// transient one (callers racing in a loop should hold a pool).
 /// `controls` carries the external control lines: a cooperative cancel flag
 /// (set it and every member aborts; the race then answers unknown) and a
 /// per-member conflict budget (the budgeted-rounds driver checks it at its
 /// barriers; the free race arms each member's conflict-pause). In the
-/// budgeted modes (cfg.sequential or cfg.sharing.deterministic) the winner
-/// is the lowest-indexed member that answers in the deciding round, which
+/// budgeted rounds (cfg.sharing.deterministic) the winner is the
+/// lowest-indexed member that answers in the deciding round, which
 /// makes the full outcome — answer, model, stats — reproducible across
 /// thread counts.
 portfolio_outcome race(const backend_factory& factory, const portfolio_config& cfg,

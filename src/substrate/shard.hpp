@@ -103,11 +103,9 @@ struct shard_outcome {
 /// produce the same CNF with the same variable numbering as the solver
 /// `generate_cubes` probed, or the plan's cube literals are meaningless
 /// (same contract as the invgen portfolio factories). The index exists so
-/// the caller can diversify *search options* per pair — the
-/// shard_over_portfolio strategy runs pair p under diversified_options(p),
-/// marrying cube splitting with the portfolio's min-over-strategies effect;
-/// callers that do not diversify ignore it. Deterministic: pair p always
-/// receives index p regardless of scheduling.
+/// the caller can name a pair's replica; callers that do not need it
+/// ignore it. Deterministic: pair p always receives index p regardless of
+/// scheduling.
 using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std::size_t pair)>;
 
 /// Decides the problem by dispatching the plan's cubes across the caller's

@@ -16,7 +16,6 @@ const char* to_string(strategy_kind k) {
         case strategy_kind::single: return "single";
         case strategy_kind::portfolio: return "portfolio";
         case strategy_kind::shard: return "shard";
-        case strategy_kind::shard_over_portfolio: return "shard_over_portfolio";
     }
     return "?";
 }
@@ -41,57 +40,24 @@ strategy strategy::shard(unsigned depth) {
     return s;
 }
 
-strategy strategy::shard_over_portfolio(unsigned depth) {
-    strategy s;
-    s.kind = strategy_kind::shard_over_portfolio;
-    if (depth > 0) s.depth = depth;
-    return s;
-}
-
-namespace {
-
-/// ~log2(threads) clamped to [1, max_depth] — the TUNING.md depth rule.
-unsigned depth_for_threads(unsigned threads, unsigned max_depth) {
-    unsigned d = 1;
-    while ((1u << (d + 1)) <= std::max(1u, threads) && d < max_depth) ++d;
-    return d;
-}
-
-}  // namespace
-
 strategy strategy::auto_select(const query_features& f) {
     using t = auto_select_thresholds;
     const unsigned threads = std::max(1u, f.threads);
-    // Prior outcomes for this structural key dominate the size features:
-    // the classifier has *seen* how hard the query is, it need not guess.
-    if (f.has_history) {
-        if (f.prior_conflicts >= t::brutal_conflicts)
-            return shard_over_portfolio(depth_for_threads(threads, 3));
-        if (f.prior_conflicts >= t::hard_conflicts)
-            return shard(depth_for_threads(threads, 2));
-        if (f.prior_conflicts >= t::easy_conflicts) {
-            strategy s = portfolio();
-            if (threads <= 1) s.sequential = true;
-            return s;
-        }
-        return single();
-    }
-    // Size features. Small instances: the solver startup dominates, any
-    // concurrency strategy only adds overhead. Assumption-carrying queries
-    // are the incremental shape (same assertions re-checked under varying
-    // assumptions): keep the instance single so models and per-key history
-    // stay deterministic.
+    // Small instances: the solver startup dominates, any concurrency
+    // strategy only adds overhead. Assumption-carrying queries are the
+    // incremental shape (same assertions re-checked under varying
+    // assumptions): keep the instance single so models stay deterministic.
     if (f.clauses < t::small_clauses && f.variables < t::small_variables) return single();
     if (f.assumptions > 0) return single();
-    if (f.clauses >= t::large_clauses) return shard(depth_for_threads(threads, 2));
-    strategy s = portfolio();
-    if (threads <= 1) s.sequential = true;
-    return s;
+    // Shard depth ~log2(threads), clamped to [1, 2]: the TUNING.md depth rule.
+    if (f.clauses >= t::large_clauses) return shard(threads >= 4 ? 2 : 1);
+    // A portfolio needs a second core to pay: time-slicing its members on
+    // one thread measured slower than the baseline member alone.
+    return threads >= 2 ? portfolio() : single();
 }
 
 strategy strategy::overriding(strategy pick) const {
     if (members) pick.members = members;
-    if (sequential) pick.sequential = sequential;
     if (depth) pick.depth = depth;
     if (probe_candidates) pick.probe_candidates = probe_candidates;
     if (sharing) pick.sharing = sharing;
@@ -106,7 +72,6 @@ resolved_strategy strategy::resolve(const resolved_strategy& defaults) const {
     resolved_strategy r = defaults;
     r.kind = kind;
     if (members) r.members = *members;
-    if (sequential) r.sequential = *sequential;
     if (depth) r.depth = *depth;
     if (probe_candidates) r.probe_candidates = *probe_candidates;
     if (sharing) r.sharing = *sharing;
@@ -119,9 +84,7 @@ resolved_strategy strategy::resolve(const resolved_strategy& defaults) const {
     // solve. `automatic` keeps its kind — the engine classifies once
     // features are known — but its fields are resolved so explicit
     // per-request settings survive the classification.
-    if ((r.kind == strategy_kind::shard || r.kind == strategy_kind::shard_over_portfolio) &&
-        r.depth == 0)
-        r.kind = strategy_kind::portfolio;
+    if (r.kind == strategy_kind::shard && r.depth == 0) r.kind = strategy_kind::portfolio;
     if (r.kind == strategy_kind::portfolio && r.members <= 1) r.kind = strategy_kind::single;
     return r;
 }
@@ -150,7 +113,10 @@ std::string solve_request::validate() const {
 
 cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned threads,
                       const solve_controls& controls, query_cache* cache) {
-    if (std::string err = strat.validate(); !err.empty()) {
+    std::string err = strat.validate();
+    if (err.empty() && threads > max_threads)
+        err = "threads must be <= " + std::to_string(max_threads);
+    if (!err.empty()) {
         // The regular error model: malformed requests are reported through
         // solve_status, never thrown (exceptions = programming errors only).
         cnf_outcome out;
@@ -228,9 +194,7 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
         if (use_cnf_cache) cache->insert_cnf(fp, r);
     };
     if (rs.kind == strategy_kind::automatic) {
-        // Classify on the prototype's size. No per-key history at this
-        // level: solve_cnf is a free function, callers with a loop hold an
-        // engine.
+        // Classify on the prototype's size.
         if (!proto) make_proto();
         query_features f;
         f.variables = static_cast<std::size_t>(proto->solver().num_vars());
@@ -265,7 +229,6 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
         // min(members, hardware) rather than spawning a full-width pool.
         pcfg.threads = threads;
         pcfg.sharing = rs.sharing;
-        pcfg.sequential = rs.sequential;
         // Member 0's options are the baseline, so a prototype built for the
         // classifier is recycled instead of re-running the builder.
         auto factory = [&](unsigned member) -> std::unique_ptr<solver_backend> {
@@ -285,21 +248,16 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
         return out;
     }
 
-    // Shard kinds: lookahead on the prototype picks the split variables,
-    // then the cube tree is dispatched across a pool. shard_over_portfolio
-    // additionally diversifies the sibling-pair replicas by pair index.
-    const bool diversify = rs.kind == strategy_kind::shard_over_portfolio;
+    // Shard: lookahead on the prototype picks the split variables, then the
+    // cube tree is dispatched across a pool.
     if (!proto) make_proto();
     cube_plan plan = generate_cubes(proto->solver(),
                                     {.depth = rs.depth, .probe_candidates = rs.probe_candidates});
     thread_pool pool(threads == 0 ? default_concurrency() : threads);
     shard_outcome shard_out = solve_cubes(
         [&](std::size_t pair) {
-            auto backend = std::make_unique<sat_backend>(
-                sat::apply_features(diversify ? diversified_options(static_cast<unsigned>(pair))
-                                              : sat::solver_options{},
-                                    rs.features),
-                "cnf-shard#" + std::to_string(pair));
+            auto backend = std::make_unique<sat_backend>(sat::apply_features({}, rs.features),
+                                                         "cnf-shard#" + std::to_string(pair));
             build(0, backend->solver());
             return backend;
         },

@@ -3,17 +3,17 @@
 /// deductive query *and* how to decide it.
 ///
 /// A `solve_request` is data: the assertions plus a composable `strategy`
-/// descriptor — `automatic | single | portfolio | shard |
-/// shard_over_portfolio` with sharing, determinism, conflict/time budgets
-/// and cache policy as per-request fields. `smt_engine::submit`
+/// descriptor — `automatic | single | portfolio | shard` with sharing,
+/// determinism, conflict/time budgets and cache policy as per-request
+/// fields. `smt_engine::submit`
 /// (engine.hpp) is the one entry point consuming it; `solve_cnf` below is
 /// the CNF-level analogue for workloads (invgen) that build clauses
 /// directly instead of terms.
 ///
 /// `strategy::auto_select` closes the ROADMAP "adaptive member selection
 /// per query shape" item: a deterministic classifier over cheap structural
-/// features (variable/clause counts, incrementality, prior outcomes for
-/// the structural key) that picks the strategy and the shard depth.
+/// features (variable/clause counts, incrementality, worker threads) that
+/// picks the strategy and the shard depth.
 #pragma once
 
 #include <optional>
@@ -25,13 +25,12 @@
 
 namespace sciduction::substrate {
 
-/// The five ways the substrate can decide one query.
+/// The four ways the substrate can decide one query.
 enum class strategy_kind : std::uint8_t {
-    automatic,           ///< classify the query and pick one of the concrete kinds
-    single,              ///< one solver instance on one thread
-    portfolio,           ///< race N diversified instances (or time-slice them)
-    shard,               ///< cube-and-conquer one hard query across the pool
-    shard_over_portfolio ///< shard, with portfolio-diversified sibling pairs
+    automatic,  ///< classify the query and pick one of the concrete kinds
+    single,     ///< one solver instance on one thread
+    portfolio,  ///< race N diversified instances
+    shard       ///< cube-and-conquer one hard query across the pool
 };
 
 /// Human-readable name of a strategy kind (bench/stat labels).
@@ -43,8 +42,7 @@ const char* to_string(strategy_kind k);
 struct resolved_strategy {
     strategy_kind kind = strategy_kind::single;  ///< concrete execution discipline
     unsigned members = 1;            ///< portfolio members (kind portfolio)
-    bool sequential = false;         ///< budgeted sequential portfolio discipline
-    unsigned depth = 0;              ///< cube split depth (shard kinds)
+    unsigned depth = 0;              ///< cube split depth (kind shard)
     unsigned probe_candidates = 16;  ///< lookahead probes per cube generation
     sharing_config sharing{};        ///< learnt-clause exchange knobs
     sat::solver_features features{}; ///< CDCL feature toggles (reduction/inprocessing)
@@ -55,15 +53,13 @@ struct resolved_strategy {
 
 /// The cheap structural features `strategy::auto_select` classifies on.
 /// The engine fills them from the blasted prototype instance (whose
-/// construction is paid anyway by the solve) and from its per-key outcome
-/// history; tests construct them directly.
+/// construction is paid anyway by the solve); tests construct them
+/// directly.
 struct query_features {
     std::size_t variables = 0;    ///< CNF variables of the blasted instance
     std::size_t clauses = 0;      ///< CNF problem clauses of the blasted instance
     std::size_t assumptions = 0;  ///< per-check assumption terms (incremental shape)
     unsigned threads = 1;         ///< worker threads available to the engine
-    bool has_history = false;     ///< a prior solve of this structural key is on record
-    std::uint64_t prior_conflicts = 0;  ///< conflicts that prior solve spent
 };
 
 /// How to decide one query: the kind plus optional per-request overrides.
@@ -75,15 +71,13 @@ struct strategy {
     strategy_kind kind = strategy_kind::automatic;
     /// Portfolio members to race (unset = engine default).
     std::optional<unsigned> members;
-    /// Budgeted sequential portfolio instead of a threaded race (unset =
-    /// off; no engine-level default exists).
-    std::optional<bool> sequential;
-    /// Cube split depth for the shard kinds (unset = engine default).
+    /// Cube split depth for the shard kind (unset = engine default).
     std::optional<unsigned> depth;
     /// Lookahead probes per cube generation (unset = engine default).
     std::optional<unsigned> probe_candidates;
-    /// Learnt-clause exchange knobs, incl. `sharing_config::deterministic`
-    /// (unset = engine default).
+    /// Learnt-clause exchange knobs, incl. `sharing_config::deterministic`,
+    /// which also puts a portfolio on reproducible budgeted rounds (unset =
+    /// engine default).
     std::optional<sharing_config> sharing;
     /// CDCL feature toggles — Glucose clause-DB reduction and restart-
     /// boundary inprocessing (`sat::solver_features`). Applied on top of
@@ -112,18 +106,13 @@ struct strategy {
     /// Cube-and-conquer; `depth` 0 inherits the engine default (an engine
     /// `shard_depth` of 0 degrades the request to portfolio/single).
     static strategy shard(unsigned depth = 0);
-    /// Cube-and-conquer with portfolio-diversified sibling pairs: pair *p*
-    /// runs under `diversified_options(p)`, so the tree gets the
-    /// min-over-strategies effect without re-proving whole queries.
-    static strategy shard_over_portfolio(unsigned depth = 0);
 
     /// The deterministic per-query classifier (ROADMAP "adaptive member
-    /// selection per query shape"). Pure function of the features: prior
-    /// outcomes for the structural key dominate (a query proven cheap stays
-    /// single; one that burned conflicts escalates to portfolio, shard, or
-    /// shard_over_portfolio), otherwise size thresholds pick between a
-    /// single instance, a (sequential on one thread) portfolio, and a
-    /// shard tree with depth ~ log2(threads). Never returns `automatic`.
+    /// selection per query shape"). Pure function of the features: tiny
+    /// and assumption-carrying queries stay single, large ones shard with
+    /// depth ~ log2(threads), and the rest race a portfolio when there
+    /// are at least two threads (single otherwise). Never returns
+    /// `automatic`.
     static strategy auto_select(const query_features& f);
 
     /// Applies this request's explicitly-set fields over a classifier
@@ -156,9 +145,6 @@ struct auto_select_thresholds {
     static constexpr std::size_t small_clauses = 2000;   ///< below: single
     static constexpr std::size_t small_variables = 600;  ///< below (and small_clauses): single
     static constexpr std::size_t large_clauses = 20000;  ///< at/above: shard
-    static constexpr std::uint64_t easy_conflicts = 800;     ///< prior below: single
-    static constexpr std::uint64_t hard_conflicts = 6000;    ///< prior at/above: shard
-    static constexpr std::uint64_t brutal_conflicts = 24000; ///< prior at/above: shard_over_portfolio
 };
 
 /// One term-level deductive request — what `smt_engine::submit` consumes:
@@ -181,10 +167,10 @@ struct solve_request {
 /// accounting the portfolio and shard layers expose.
 struct cnf_outcome {
     backend_result result;      ///< the verdict (winner's model if sat)
-    unsigned winner = 0;        ///< portfolio member that answered (portfolio kinds)
+    unsigned winner = 0;        ///< portfolio member that answered (kind portfolio)
     std::uint64_t total_conflicts = 0;  ///< conflicts across all instances
     sharing_counters sharing{};         ///< aggregated exchange counters
-    shard_stats shard;                  ///< shard work breakdown (shard kinds)
+    shard_stats shard;                  ///< shard work breakdown (kind shard)
     strategy_kind executed = strategy_kind::single;  ///< the kind that actually ran
     /// The result came from the CNF-level cache: no search ran (a cached
     /// sat model is re-validated on the prototype instance by propagation
@@ -207,9 +193,10 @@ class query_cache;
 /// clauses directly (invgen's refinement rounds and inductive-step proof):
 /// resolves `strat` against library defaults (4 members, depth 3) and
 /// dispatches the built instances through the resolved strategy — single
-/// solve, diversified portfolio race, cube-and-conquer, or diversified
-/// cube-and-conquer. `automatic` classifies on a prototype instance's
-/// size (no history at this level). Synchronous; `threads` 0 = hardware.
+/// solve, diversified portfolio race, or cube-and-conquer. `automatic`
+/// classifies on a prototype instance's size. Synchronous; `threads` 0 =
+/// hardware, and more than `max_threads` is reported as
+/// solve_status::malformed.
 ///
 /// A non-null `cache` memoizes results under the instance's
 /// `cnf_fingerprint` (the clause-stream digest — sound because the

@@ -44,6 +44,11 @@ namespace sciduction::substrate {
 /// concurrency, floored at 1 (hardware_concurrency may return 0).
 unsigned default_concurrency();
 
+/// Upper bound on a worker-thread count that comes from outside the
+/// program (engine_config::threads, solve_cnf's `threads`, the tools'
+/// --threads): beyond it a request is rejected before any thread starts.
+inline constexpr unsigned max_threads = 1024;
+
 /// The substrate's worker pool: a fixed set of threads draining per-lane
 /// FIFO task queues in weighted round-robin order. Thread-safe: any thread
 /// (including a worker) may submit or manage lanes. Destruction drains

@@ -343,19 +343,21 @@ TEST(portfolio_sharing, deterministic_sharing_identical_across_thread_counts) {
 }
 
 TEST(portfolio_sharing, deterministic_sharing_cuts_total_conflicts_on_pigeonhole) {
-    // Same budgeted rounds with and without the exchange: sharing must
-    // reduce the total work. Both runs are deterministic, so this is a
-    // stable comparison, not a timing race.
+    // Same deterministic rounds with and without the exchange: sharing
+    // must reduce the total work. Both runs are reproducible whatever the
+    // pool width, so this is a stable comparison, not a timing race
+    // (PHP-8: 69,626 shared against 79,579 unshared conflicts).
     auto run = [](bool share) {
         portfolio_config cfg;
         cfg.members = 4;
-        cfg.sequential = true;  // one schedule, no timing noise
         cfg.sharing.enabled = share;
+        cfg.sharing.deterministic = true;
         cfg.sharing.slice_conflicts = 500;
-        cfg.sharing.max_clause_size = 32;
-        cfg.sharing.max_lbd = 32;
+        cfg.sharing.max_clause_size = 16;
+        cfg.sharing.max_lbd = 16;
         cfg.sharing.max_import_per_checkpoint = 16;
-        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg, nullptr);
+        thread_pool pool(2);
+        return race([&](unsigned m) { return pigeonhole_member(m, 8); }, cfg, &pool);
     };
     portfolio_outcome shared = run(true);
     portfolio_outcome solo = run(false);
@@ -364,22 +366,25 @@ TEST(portfolio_sharing, deterministic_sharing_cuts_total_conflicts_on_pigeonhole
     EXPECT_LT(shared.total_conflicts, solo.total_conflicts);
 }
 
-TEST(portfolio_sharing, sequential_budgeted_portfolio_is_reproducible) {
-    auto run = [] {
+TEST(portfolio_sharing, deterministic_rounds_without_exchange_are_pinned) {
+    // sharing.deterministic alone: budgeted rounds, no clause pool. The
+    // schedule is fixed, so rounds and conflicts are pinned at any pool
+    // width.
+    auto run = [](unsigned threads) {
         portfolio_config cfg;
         cfg.members = 4;
-        cfg.sequential = true;
-        cfg.sharing.enabled = true;
-        cfg.sharing.slice_conflicts = 250;
-        return race([&](unsigned m) { return pigeonhole_member(m, 6); }, cfg, nullptr);
+        cfg.sharing.deterministic = true;
+        cfg.sharing.slice_conflicts = 500;
+        thread_pool pool(threads);
+        return race([&](unsigned m) { return pigeonhole_member(m, 7); }, cfg, &pool);
     };
-    portfolio_outcome a = run();
-    portfolio_outcome b = run();
-    EXPECT_EQ(a.result.ans, answer::unsat);
-    EXPECT_EQ(a.winner, b.winner);
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.total_conflicts, b.total_conflicts);
-    EXPECT_TRUE(a.sharing == b.sharing);
+    for (unsigned threads : {1u, 4u}) {
+        portfolio_outcome out = run(threads);
+        EXPECT_EQ(out.result.ans, answer::unsat) << threads;
+        EXPECT_EQ(out.rounds, 7u) << threads;
+        EXPECT_EQ(out.total_conflicts, 13602u) << threads;
+        EXPECT_EQ(out.sharing, sharing_counters{}) << threads;
+    }
 }
 
 TEST(portfolio_sharing, free_running_sharing_keeps_answers_and_models_sound) {
@@ -498,7 +503,7 @@ TEST(engine_sharing, sharded_with_sharing_matches_plain_check) {
     }
 }
 
-TEST(engine_sharing, sequential_budgeted_portfolio_matches_plain_check) {
+TEST(engine_sharing, deterministic_portfolio_matches_plain_check) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 12);
     smt::term y = tm.mk_bv_var("y", 12);
@@ -515,14 +520,15 @@ TEST(engine_sharing, sequential_budgeted_portfolio_matches_plain_check) {
     engine_config cfg;
     cfg.use_cache = false;
     cfg.portfolio_members = 3;
+    cfg.threads = 2;
     cfg.sharing.enabled = true;
+    cfg.sharing.deterministic = true;
     cfg.sharing.slice_conflicts = 200;
     smt_engine budgeted(tm, cfg);
-    strategy sequential = strategy::portfolio();
-    sequential.sequential = true;
-    query_handle handle = budgeted.submit({assertions, {}, sequential});
+    query_handle handle = budgeted.submit({assertions, {}, strategy::portfolio()});
     EXPECT_EQ(handle.get().ans, answer::unsat);
-    EXPECT_TRUE(handle.stats().strategy.sequential);
+    EXPECT_TRUE(handle.stats().strategy.sharing.deterministic);
+    EXPECT_GT(handle.stats().rounds, 0u);
     EXPECT_EQ(handle.stats().strategy.members, 3u);
 }
 

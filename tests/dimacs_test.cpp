@@ -166,7 +166,7 @@ TEST(dimacs_strategies, verdict_identical_across_strategies) {
         "-2 -4 0\n-2 -6 0\n-4 -6 0\n";
     const substrate::strategy strategies[] = {
         substrate::strategy::single(), substrate::strategy::portfolio(3),
-        substrate::strategy::shard(2), substrate::strategy::shard_over_portfolio(2)};
+        substrate::strategy::shard(2), substrate::strategy::automatic()};
     for (const auto& strat : strategies) {
         dimacs_problem sat_p = read_dimacs(sat_text);
         substrate::cnf_outcome sat_out = substrate::solve_cnf_dimacs(sat_p, strat, 2);

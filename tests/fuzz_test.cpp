@@ -358,11 +358,12 @@ TEST(feature_composition, exchange_import_bit_survives_reduction) {
     // either crash the accounting or silently stop the exchange).
     substrate::portfolio_config cfg;
     cfg.members = 4;
-    cfg.sequential = true;
     cfg.sharing.enabled = true;
+    cfg.sharing.deterministic = true;
     cfg.sharing.slice_conflicts = 400;
     cfg.sharing.max_clause_size = 32;
     cfg.sharing.max_lbd = 32;
+    substrate::thread_pool pool(2);
     substrate::portfolio_outcome out = substrate::race(
         [](unsigned m) {
             auto b = std::make_unique<substrate::sat_backend>(
@@ -376,7 +377,7 @@ TEST(feature_composition, exchange_import_bit_survives_reduction) {
             sat::encode_pigeonhole(b->solver(), 7);
             return b;
         },
-        cfg, nullptr);
+        cfg, &pool);
     EXPECT_EQ(out.result.ans, answer::unsat);
     EXPECT_GT(out.sharing.imported, 0u);
     EXPECT_GT(out.sharing.exported, 0u);

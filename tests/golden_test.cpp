@@ -86,9 +86,9 @@ TEST(golden_corpus, cnf_scenarios_match_their_goldens) {
 }
 
 TEST(golden_corpus, cnf_verdicts_identical_across_strategies) {
-    const substrate::strategy strategies[] = {substrate::strategy::single(),
-                                              substrate::strategy::portfolio(3),
-                                              substrate::strategy::shard(2)};
+    const substrate::strategy strategies[] = {
+        substrate::strategy::single(), substrate::strategy::portfolio(3),
+        substrate::strategy::shard(2), substrate::strategy::automatic()};
     for (const scenario& sc : corpus(".cnf")) {
         SCOPED_TRACE(sc.path.string());
         for (const auto& strat : strategies) {
@@ -145,13 +145,17 @@ TEST(golden_corpus, smt2_scenarios_match_their_goldens) {
 
 TEST(golden_corpus, smt2_verdicts_identical_across_strategies) {
     const substrate::strategy strategies[] = {substrate::strategy::portfolio(3),
-                                              substrate::strategy::shard(2)};
+                                              substrate::strategy::shard(2),
+                                              substrate::strategy::automatic()};
     for (const scenario& sc : corpus(".smt2")) {
         SCOPED_TRACE(sc.path.string());
         smt::term_manager tm;
         frontend::script script = frontend::parse_script_file(sc.path.string(), tm);
         substrate::engine_config cfg;
         cfg.threads = 2;
+        // Cache off: every strategy must decide the script itself, not
+        // replay the first strategy's answer.
+        cfg.use_cache = false;
         substrate::smt_engine engine(tm, cfg);
         for (const auto& strat : strategies) {
             substrate::backend_result r = engine.solve({script.assertions, {}, strat});

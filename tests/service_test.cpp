@@ -349,6 +349,98 @@ TEST(service_protocol, garbage_submit_payload_is_rejected_not_fatal) {
     EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::reject));
 }
 
+// ---- the submit codec's strategy block ----------------------------------------
+
+/// Encodes `s` in a tiny submit and decodes it into a fresh manager.
+substrate::strategy round_trip(const substrate::strategy& s) {
+    smt::term_manager tm;
+    substrate::solve_request req = tiny_request(tm, 3);
+    req.strategy = s;
+    smt::term_manager decoded;
+    return decode_submit(decoded, encode_submit(tm, 1, req)).request.strategy;
+}
+
+TEST(service_codec, strategy_block_round_trips_each_kind_and_presence_bit) {
+    for (const substrate::strategy& s :
+         {substrate::strategy::automatic(), substrate::strategy::single(),
+          substrate::strategy::portfolio(3), substrate::strategy::shard(2)}) {
+        const substrate::strategy got = round_trip(s);
+        EXPECT_EQ(got.kind, s.kind) << to_string(s.kind);
+        EXPECT_EQ(got.members, s.members) << to_string(s.kind);
+        EXPECT_EQ(got.depth, s.depth) << to_string(s.kind);
+    }
+    // One strategy per presence bit: the decoded block sets that field and
+    // only that one.
+    substrate::strategy members;
+    members.members = 5;
+    substrate::strategy depth;
+    depth.depth = 3;
+    substrate::strategy probes;
+    probes.probe_candidates = 9;
+    substrate::strategy sharing;
+    sharing.sharing = substrate::sharing_config{.enabled = true,
+                                                .deterministic = true,
+                                                .max_clause_size = 12,
+                                                .max_lbd = 7,
+                                                .slice_conflicts = 321,
+                                                .max_import_per_checkpoint = 5};
+    substrate::strategy use_cache;
+    use_cache.use_cache = false;
+    substrate::strategy features;
+    features.features = sat::solver_features{.reduce = true, .inprocess = true};
+    for (substrate::strategy s : {members, depth, probes, sharing, use_cache, features}) {
+        s.conflict_budget = 77;
+        s.time_budget_ms = 88;
+        const substrate::strategy got = round_trip(s);
+        EXPECT_EQ(got.kind, substrate::strategy_kind::automatic);
+        EXPECT_EQ(got.members, s.members);
+        EXPECT_EQ(got.depth, s.depth);
+        EXPECT_EQ(got.probe_candidates, s.probe_candidates);
+        EXPECT_EQ(got.use_cache, s.use_cache);
+        EXPECT_EQ(got.features, s.features);
+        ASSERT_EQ(got.sharing.has_value(), s.sharing.has_value());
+        if (s.sharing) {
+            EXPECT_EQ(got.sharing->enabled, s.sharing->enabled);
+            EXPECT_EQ(got.sharing->deterministic, s.sharing->deterministic);
+            EXPECT_EQ(got.sharing->max_clause_size, s.sharing->max_clause_size);
+            EXPECT_EQ(got.sharing->max_lbd, s.sharing->max_lbd);
+            EXPECT_EQ(got.sharing->slice_conflicts, s.sharing->slice_conflicts);
+            EXPECT_EQ(got.sharing->max_import_per_checkpoint,
+                      s.sharing->max_import_per_checkpoint);
+        }
+        EXPECT_EQ(got.conflict_budget, 77u);
+        EXPECT_EQ(got.time_budget_ms, 88u);
+    }
+}
+
+TEST(service_codec, strategy_block_rejects_unknown_kind_and_presence_bits) {
+    smt::term_manager tm;
+    const std::vector<std::uint8_t> payload = encode_submit(tm, 1, tiny_request(tm, 3));
+    // With no optional fields the block is the payload's last 18 bytes:
+    // kind, presence mask, conflict budget, time budget.
+    const std::size_t kind_at = payload.size() - 18;
+    const std::size_t mask_at = kind_at + 1;
+    auto decode_patched = [&](std::size_t at, std::uint8_t byte) {
+        std::vector<std::uint8_t> patched = payload;
+        patched[at] = byte;
+        smt::term_manager decoded;
+        (void)decode_submit(decoded, patched);
+    };
+    EXPECT_NO_THROW(decode_patched(kind_at, payload[kind_at]));
+    EXPECT_THROW(decode_patched(kind_at, 4), wire_error);       // one past shard
+    EXPECT_THROW(decode_patched(mask_at, 1u << 1), wire_error);  // unassigned
+    EXPECT_THROW(decode_patched(mask_at, 1u << 7), wire_error);  // never assigned
+}
+
+TEST(service_codec, progress_rejects_a_kind_past_shard) {
+    progress_message msg;
+    msg.strategy = substrate::strategy_kind::shard;
+    std::vector<std::uint8_t> payload = encode_progress(msg);
+    EXPECT_EQ(decode_progress(payload).strategy, substrate::strategy_kind::shard);
+    payload.back() = 4;  // the kind is the payload's last byte
+    EXPECT_THROW((void)decode_progress(payload), wire_error);
+}
+
 // ---- graceful drain / persistence -------------------------------------------
 
 TEST(service_drain, finish_policy_persists_the_cache_across_restart) {

@@ -24,7 +24,6 @@ using sat::encode_pigeonhole;
 resolved_strategy engine_like_defaults() {
     resolved_strategy d;
     d.members = 3;
-    d.sequential = true;
     d.depth = 2;
     d.probe_candidates = 8;
     d.sharing.enabled = true;
@@ -36,20 +35,17 @@ TEST(strategy_resolution, unset_fields_inherit_defaults) {
     resolved_strategy r = strategy::portfolio().resolve(engine_like_defaults());
     EXPECT_EQ(r.kind, strategy_kind::portfolio);
     EXPECT_EQ(r.members, 3u);
-    EXPECT_TRUE(r.sequential);
     EXPECT_TRUE(r.sharing.enabled);
     EXPECT_TRUE(r.use_cache);
 }
 
 TEST(strategy_resolution, per_request_fields_override_defaults) {
     strategy s = strategy::portfolio(8);
-    s.sequential = false;
     s.sharing = sharing_config{};  // explicitly off
     s.use_cache = false;
     s.conflict_budget = 123;
     resolved_strategy r = s.resolve(engine_like_defaults());
     EXPECT_EQ(r.members, 8u);
-    EXPECT_FALSE(r.sequential);
     EXPECT_FALSE(r.sharing.enabled);
     EXPECT_FALSE(r.use_cache);
     EXPECT_EQ(r.conflict_budget, 123u);
@@ -64,8 +60,6 @@ TEST(strategy_resolution, degenerate_combinations_normalize_like_legacy) {
     EXPECT_EQ(strategy::portfolio(1).resolve(no_shard).kind, strategy_kind::single);
     // Explicit depth keeps the shard kind regardless of the default.
     EXPECT_EQ(strategy::shard(2).resolve(no_shard).kind, strategy_kind::shard);
-    EXPECT_EQ(strategy::shard_over_portfolio(2).resolve(no_shard).kind,
-              strategy_kind::shard_over_portfolio);
     // automatic keeps its kind (the engine classifies later).
     EXPECT_EQ(strategy{}.resolve(no_shard).kind, strategy_kind::automatic);
 }
@@ -89,18 +83,14 @@ TEST(auto_select, assumption_carrying_query_stays_single) {
     EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
 }
 
-TEST(auto_select, medium_query_races_a_portfolio_sequential_on_one_thread) {
+TEST(auto_select, medium_query_races_a_portfolio_single_on_one_thread) {
     query_features f;
     f.variables = 5000;
     f.clauses = 15000;
-    f.threads = 4;
-    strategy threaded = strategy::auto_select(f);
-    EXPECT_EQ(threaded.kind, strategy_kind::portfolio);
-    EXPECT_FALSE(threaded.sequential.value_or(false));
+    f.threads = 2;
+    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::portfolio);
     f.threads = 1;
-    strategy onecore = strategy::auto_select(f);
-    EXPECT_EQ(onecore.kind, strategy_kind::portfolio);
-    EXPECT_TRUE(onecore.sequential.value_or(false));
+    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
 }
 
 TEST(auto_select, large_query_shards_with_depth_log2_threads) {
@@ -113,22 +103,6 @@ TEST(auto_select, large_query_shards_with_depth_log2_threads) {
     EXPECT_EQ(s.depth.value_or(0), 2u);
 }
 
-TEST(auto_select, history_dominates_size_features) {
-    query_features f;
-    f.variables = 100;  // tiny by size...
-    f.clauses = 300;
-    f.threads = 4;
-    f.has_history = true;
-    f.prior_conflicts = auto_select_thresholds::easy_conflicts - 1;
-    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
-    f.prior_conflicts = auto_select_thresholds::easy_conflicts;
-    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::portfolio);
-    f.prior_conflicts = auto_select_thresholds::hard_conflicts;
-    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::shard);
-    f.prior_conflicts = auto_select_thresholds::brutal_conflicts;
-    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::shard_over_portfolio);
-}
-
 TEST(auto_select, deterministic_for_equal_features) {
     query_features f;
     f.variables = 5000;
@@ -139,7 +113,6 @@ TEST(auto_select, deterministic_for_equal_features) {
         strategy b = strategy::auto_select(f);
         EXPECT_EQ(a.kind, b.kind);
         EXPECT_EQ(a.depth.value_or(0), b.depth.value_or(0));
-        EXPECT_EQ(a.sequential.value_or(false), b.sequential.value_or(false));
     }
 }
 
@@ -303,18 +276,17 @@ TEST(auto_strategy, explicit_fields_survive_the_classifier) {
     EXPECT_EQ(engine.cache().size(), 0u);
 }
 
-// ---- shard_over_portfolio + progress ----------------------------------------
+// ---- shard progress ----------------------------------------------------------
 
-TEST(shard_over_portfolio, decides_and_reports_diversified_pairs) {
+TEST(shard_progress, decides_and_reports_settled_cubes) {
     smt::term_manager tm;
     smt_engine engine(tm, {.use_cache = false, .threads = 2});
-    query_handle handle =
-        engine.submit({{unsat_commut(tm)}, {}, strategy::shard_over_portfolio(2)});
+    query_handle handle = engine.submit({{unsat_commut(tm)}, {}, strategy::shard(2)});
     EXPECT_EQ(handle.get().ans, answer::unsat);
     request_stats rstats = handle.stats();
-    EXPECT_EQ(rstats.strategy.kind, strategy_kind::shard_over_portfolio);
+    EXPECT_EQ(rstats.strategy.kind, strategy_kind::shard);
     EXPECT_GT(rstats.shard.cubes, 0u);
-    EXPECT_EQ(engine.stats().dispatched.shard_over_portfolio, 1u);
+    EXPECT_EQ(engine.stats().dispatched.shard, 1u);
     // Progress settled every cube.
     query_progress progress = handle.progress();
     EXPECT_TRUE(progress.started);
@@ -494,6 +466,8 @@ TEST(validation, engine_config_programming_errors_throw) {
     EXPECT_THROW(smt_engine(tm, {.portfolio_members = 0}), std::invalid_argument);
     EXPECT_THROW(smt_engine(tm, {.shard_depth = 13}), std::invalid_argument);
     EXPECT_THROW(smt_engine(tm, {.shard_probe_candidates = 0}), std::invalid_argument);
+    // Thrown by the constructor, before the (lazily created) pool exists.
+    EXPECT_THROW(smt_engine(tm, {.threads = max_threads + 1}), std::invalid_argument);
 }
 
 TEST(status_model, definite_answers_and_cache_hits_report_ok) {
@@ -515,13 +489,21 @@ TEST(status_model, definite_answers_and_cache_hits_report_ok) {
 
 TEST(solve_cnf, all_strategies_refute_pigeonhole) {
     auto build = [](unsigned, sat::solver& s) { encode_pigeonhole(s, 6); };
-    for (strategy s : {strategy::single(), strategy::portfolio(3), strategy::shard(2),
-                       strategy::shard_over_portfolio(2)}) {
+    for (strategy s : {strategy::single(), strategy::portfolio(3), strategy::shard(2)}) {
         cnf_outcome out = solve_cnf(build, s, 2);
         EXPECT_EQ(out.result.ans, answer::unsat) << to_string(s.kind);
         EXPECT_EQ(out.executed, s.kind);
         EXPECT_GT(out.total_conflicts, 0u) << to_string(s.kind);
     }
+}
+
+TEST(solve_cnf, thread_count_above_the_bound_is_malformed) {
+    // Rejected before anything is built or any thread starts.
+    cnf_outcome out = solve_cnf([](unsigned, sat::solver& s) { encode_pigeonhole(s, 3); },
+                                strategy::single(), 5000);
+    EXPECT_EQ(out.result.ans, answer::unknown);
+    EXPECT_EQ(out.result.status, solve_status::malformed);
+    EXPECT_NE(out.result.status_detail.find("threads"), std::string::npos);
 }
 
 TEST(solve_cnf, shard_reports_cube_breakdown) {

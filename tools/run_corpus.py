@@ -8,15 +8,17 @@ sciduction_run driver and enforces three contracts:
      models and diagnostics are excluded by design, see the driver header)
      must match the scenario's `.expected` file byte for byte.
   2. Differential strategies: the verdict must be identical across the
-     single / portfolio / shard strategies (the substrate's determinism
-     contract, now exercised on heterogeneous standard-format instances).
+     single / portfolio / shard / auto strategies (the substrate's
+     determinism contract, now exercised on heterogeneous standard-format
+     instances; `auto` is sciduction_run's default and lets the classifier
+     pick).
   3. Model verification: the driver self-verifies every sat model by
      evaluation and emits `s MODEL-VERIFIED`; its absence after a sat
      verdict (or a MODEL-INVALID / STATUS-MISMATCH line) is a failure.
 
 Usage:
   tools/run_corpus.py [--driver build/sciduction_run] [--corpus corpus]
-                      [--strategies single,portfolio,shard,single+inprocess]
+                      [--strategies single,portfolio,shard,auto,single+inprocess]
                       [--cache PATH] [--require-warm]
                       [--json OUT.json] [--regen]
 
@@ -82,7 +84,7 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--driver", default="build/sciduction_run")
     ap.add_argument("--corpus", default="corpus")
-    ap.add_argument("--strategies", default="single,portfolio,shard",
+    ap.add_argument("--strategies", default="single,portfolio,shard,auto",
                     help="comma-separated; the first is the golden (canonical) run")
     ap.add_argument("--cache", default=None, help="persistent query-cache path for all runs")
     ap.add_argument("--require-warm", action="store_true",

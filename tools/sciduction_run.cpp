@@ -2,8 +2,7 @@
 // DIMACS CNF (.cnf) or QF_BV SMT-LIB2 (.smt2) file through the strategy
 // layer and prints the verdict in a stable textual form.
 //
-//   sciduction_run FILE.{cnf,smt2} [--strategy auto|single|portfolio|shard|
-//                                   shard_over_portfolio]
+//   sciduction_run FILE.{cnf,smt2} [--strategy auto|single|portfolio|shard]
 //                  [--members N] [--depth N] [--threads N]
 //                  [--cache PATH] [--conflict-budget N] [--time-budget MS]
 //                  [--no-model] [--reduce] [--inprocess]
@@ -18,8 +17,9 @@
 //   * `c ...` lines are diagnostics (file, strategy, conflicts, cache
 //     counters) — also excluded.
 // Exit codes: 10 sat, 20 unsat, 30 unknown, 0 parsed-but-nothing-to-decide,
-// 1 malformed input, 2 model verification failure, 3 the verdict contradicts
-// the file's (set-info :status ...) annotation.
+// 1 malformed input or usage error (including --threads above
+// substrate::max_threads), 2 model verification failure, 3 the verdict
+// contradicts the file's (set-info :status ...) annotation.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -67,9 +67,10 @@ struct options {
 
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
-              << " FILE.{cnf,smt2} [--strategy auto|single|portfolio|shard|"
-                 "shard_over_portfolio] [--members N] [--depth N] [--threads N]"
-                 " [--cache PATH] [--conflict-budget N] [--time-budget MS] [--no-model]"
+              << " FILE.{cnf,smt2} [--strategy auto|single|portfolio|shard]"
+                 " [--members N] [--depth N] [--threads N (<= "
+              << substrate::max_threads
+              << ")] [--cache PATH] [--conflict-budget N] [--time-budget MS] [--no-model]"
                  " [--reduce] [--inprocess]\n";
     return exit_malformed;
 }
@@ -84,8 +85,6 @@ bool parse_strategy(const options& opt, substrate::strategy& strat) {
         strat = substrate::strategy::portfolio(opt.members);
     else if (name == "shard")
         strat = substrate::strategy::shard(opt.depth);
-    else if (name == "shard_over_portfolio")
-        strat = substrate::strategy::shard_over_portfolio(opt.depth);
     else
         return false;
     if (opt.members > 0) strat.members = opt.members;
@@ -353,9 +352,11 @@ int main(int argc, char** argv) {
             opt.members = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
         else if (arg == "--depth")
             opt.depth = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--cache")
+        else if (arg == "--threads") {
+            const unsigned long threads = std::strtoul(value(), nullptr, 10);
+            if (threads > substrate::max_threads) return usage(argv[0]);
+            opt.threads = static_cast<unsigned>(threads);
+        } else if (arg == "--cache")
             opt.cache_path = value();
         else if (arg == "--conflict-budget")
             opt.conflict_budget = std::strtoull(value(), nullptr, 10);

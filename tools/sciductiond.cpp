@@ -13,6 +13,7 @@
 #include <string>
 
 #include "service/server.hpp"
+#include "substrate/thread_pool.hpp"
 
 namespace {
 
@@ -24,8 +25,10 @@ void on_signal(int) {
 
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
-              << " --socket PATH [--cache PATH] [--threads N] [--queue-depth N]"
-                 " [--cache-capacity N] [--trace-out PATH] [--trace-capacity N]\n";
+              << " --socket PATH [--cache PATH] [--threads N (<= "
+              << sciduction::substrate::max_threads
+              << ")] [--queue-depth N] [--cache-capacity N] [--trace-out PATH]"
+                 " [--trace-capacity N]\n";
     return 2;
 }
 
@@ -46,9 +49,16 @@ int main(int argc, char** argv) {
             cfg.socket_path = value();
         else if (arg == "--cache")
             cfg.cache_path = value();
-        else if (arg == "--threads")
-            cfg.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--queue-depth")
+        else if (arg == "--threads") {
+            // A thread count the engine would refuse: reject it before the
+            // server (and its pool) exist.
+            const unsigned long threads = std::strtoul(value(), nullptr, 10);
+            if (threads > sciduction::substrate::max_threads) {
+                usage(argv[0]);
+                return 1;
+            }
+            cfg.threads = static_cast<unsigned>(threads);
+        } else if (arg == "--queue-depth")
             cfg.queue_depth = std::strtoul(value(), nullptr, 10);
         else if (arg == "--cache-capacity")
             cfg.cache_capacity = std::strtoul(value(), nullptr, 10);
