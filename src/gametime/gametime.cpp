@@ -283,15 +283,12 @@ std::optional<wcet_estimate> predict_wcet(const ir::cfg& g, const timing_model& 
         longest.push_back(eid);
         cur = g.edge(eid).to;
     }
-    // The predicted-longest-path feasibility check is the one *hard* query
-    // of the WCET pipeline (every basis query was already answered during
-    // extraction, so this is either a cache hit or a fresh deep path):
-    // route it through the engine's cube-and-conquer shard path. With
-    // sharding disabled in the engine config this is the plain cached
-    // check it always was; with engine_config::sharing enabled the shard's
-    // sibling pairs additionally exchange core-clean learnt clauses, so the
-    // deep-path refutation work is not repeated per cube.
-    auto witness = ir::feasible_path_witness_sharded(g, longest, engine);
+    // The predicted-longest-path feasibility check: every basis query was
+    // already answered during extraction, so this is either a cache hit or
+    // one fresh path query, decided as a single solve. A caller with a
+    // path hard enough to split can decide it through
+    // ir::feasible_path_witness_with and strategy::shard instead.
+    auto witness = ir::feasible_path_witness(g, longest, engine);
     if (witness) {
         wcet_estimate est;
         est.longest = std::move(longest);

@@ -177,12 +177,7 @@ std::optional<std::vector<std::uint64_t>> feasible_path_witness_with(
 
 std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, const path& p,
                                                                 substrate::smt_engine& engine) {
-    return feasible_path_witness_with(g, p, engine, substrate::strategy::portfolio());
-}
-
-std::optional<std::vector<std::uint64_t>> feasible_path_witness_sharded(
-    const cfg& g, const path& p, substrate::smt_engine& engine) {
-    return feasible_path_witness_with(g, p, engine, substrate::strategy::shard());
+    return feasible_path_witness_with(g, p, engine, substrate::strategy::single());
 }
 
 }  // namespace sciduction::ir

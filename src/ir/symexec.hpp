@@ -32,26 +32,19 @@ path_encoding encode_path(const cfg& g, const path& p, smt::term_manager& tm);
 
 /// Convenience wrapper: decide feasibility of a path and, if feasible,
 /// return the argument tuple driving execution down it. The term_manager
-/// overload runs a transient uncached engine; the engine overload routes
-/// through the caller's substrate (cache, portfolio) so repeated
-/// feasibility queries — e.g. GameTime re-checking the predicted longest
-/// path — hit the cache.
+/// overload runs a transient uncached engine; the engine overload submits
+/// a single solve to the caller's engine, so repeated feasibility queries
+/// — e.g. GameTime re-checking the predicted longest path — hit its cache.
 std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, const path& p,
                                                                 smt::term_manager& tm);
 std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, const path& p,
                                                                 substrate::smt_engine& engine);
 
-/// As the engine overload, but routes the decision through the engine's
-/// cube-and-conquer strategy (substrate::strategy::shard) — for the single
-/// *hard* query of a workload, like GameTime's predicted-longest-path
-/// feasibility check. Degrades to a plain (cached) check when sharding is
-/// disabled in the engine config, so callers can use it unconditionally.
-std::optional<std::vector<std::uint64_t>> feasible_path_witness_sharded(
-    const cfg& g, const path& p, substrate::smt_engine& engine);
-
-/// The general form both wrappers above delegate to: decide feasibility
-/// under an explicit per-request strategy — pass substrate::strategy{}
-/// (automatic) to let the engine's classifier pick per query shape.
+/// The general form the engine overload above delegates to (with
+/// substrate::strategy::single): decide feasibility under an explicit
+/// per-request strategy — e.g. substrate::strategy::shard(2) for one hard
+/// path, or substrate::strategy{} (automatic) to let the classifier pick
+/// per query shape.
 std::optional<std::vector<std::uint64_t>> feasible_path_witness_with(
     const cfg& g, const path& p, substrate::smt_engine& engine, substrate::strategy strat);
 

@@ -242,8 +242,8 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
         return assertions;
     };
 
-    // Every query flows through the one submit() entry point; the engine
-    // defaults (cfg.engine) decide members/sharing, exactly as check() did.
+    // Every query flows through the one submit() entry point as a single
+    // solve (deterministic models, hence a deterministic loop trajectory).
     // Only queries this run solved count conflicts: a cache hit or a
     // coalesced duplicate reports the conflicts of a solve it did not run.
     auto count_conflicts = [&](const substrate::query_handle& handle) {
@@ -251,7 +251,7 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
         if (!s.cache_hit && !s.coalesced) outcome.stats.conflicts += s.conflicts;
     };
     auto decide = [&](std::vector<term> assertions) {
-        auto handle = engine.submit(std::move(assertions), substrate::strategy::portfolio());
+        auto handle = engine.submit(std::move(assertions), substrate::strategy::single());
         substrate::backend_result result = handle.get();
         count_conflicts(handle);
         return result;
@@ -348,7 +348,7 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
             std::vector<term> synth_asserts = example_assertions(loop.examples);
             ++outcome.stats.distinguish_queries;
             auto dist_handle =
-                engine.submit(std::move(dist_asserts), substrate::strategy::portfolio());
+                engine.submit(std::move(dist_asserts), substrate::strategy::single());
             substrate::query_handle spec_handle;
             const bool speculated = !fresh;
             if (speculated) {
@@ -357,7 +357,7 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
                 // candidate makes the speculation a real overlapped solve.
                 ++outcome.stats.speculative_queries;
                 spec_handle =
-                    engine.submit(std::move(synth_asserts), substrate::strategy::portfolio());
+                    engine.submit(std::move(synth_asserts), substrate::strategy::single());
             }
             auto settle_speculation = [&] {
                 if (!speculated) return;

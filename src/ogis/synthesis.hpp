@@ -41,11 +41,11 @@ struct synthesis_config {
     /// synthesis query ("starts with one or more randomly chosen inputs").
     int initial_examples = 2;
     std::uint64_t seed = 2010;
-    /// Substrate routing for the synthesis/distinguishing queries. The
-    /// default (cache on, single solver) reproduces the historical
-    /// behaviour; portfolio_members > 1 races diversified solvers per
-    /// query (answers unchanged; which satisfying model — and hence which
-    /// equivalent candidate program — is found may depend on the winner).
+    /// Engine for the synthesis/distinguishing queries, each submitted as
+    /// a single solve so the models — and hence the candidate programs —
+    /// stay deterministic. The default (cache on) reproduces the
+    /// historical behaviour; `engine.threads` sizes the pool the
+    /// overlapped queries run on.
     /// Setting `engine.cache_path` persists the query cache across runs:
     /// the cache key is structural, so a re-run (fresh term_manager and
     /// all) answers its repeated synthesis/distinguish queries from the

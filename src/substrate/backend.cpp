@@ -47,10 +47,7 @@ const char* to_string(solve_status s) {
 
 // ---- sat_backend ------------------------------------------------------------
 
-sat_backend::sat_backend(sat::solver_options opts, std::string name)
-    : name_(std::move(name)) {
-    solver_.set_options(opts);
-}
+sat_backend::sat_backend(sat::solver_options opts) { solver_.set_options(opts); }
 
 void sat_backend::set_assumptions(std::vector<sat::lit> assumptions) {
     assumptions_ = std::move(assumptions);
@@ -97,12 +94,8 @@ backend_result sat_backend::check_cube(const std::vector<sat::lit>& cube,
 // ---- smt_backend ------------------------------------------------------------
 
 smt_backend::smt_backend(smt::term_manager& tm, std::vector<smt::term> assertions,
-                         std::vector<smt::term> assumptions, sat::solver_options opts,
-                         std::string name)
-    : solver_(tm),
-      assertions_(std::move(assertions)),
-      assumptions_(std::move(assumptions)),
-      name_(std::move(name)) {
+                         std::vector<smt::term> assumptions, sat::solver_options opts)
+    : solver_(tm), assertions_(std::move(assertions)), assumptions_(std::move(assumptions)) {
     solver_.set_sat_options(opts);
 }
 

@@ -66,6 +66,12 @@ enum class solve_status : std::uint8_t {
 /// Human-readable name of a solve status (logs, stats, protocol dumps).
 const char* to_string(solve_status s);
 
+/// Cube counts of one sharded solve, readable mid-flight.
+struct cube_progress {
+    std::atomic<std::size_t> total{0};  ///< cubes in the dispatched plan
+    std::atomic<std::size_t> done{0};   ///< cubes settled so far
+};
+
 /// External control lines a caller threads into a long-running solve. All
 /// fields are optional; a default-constructed solve_controls leaves every
 /// scheduler byte-identical to its uncontrolled behaviour. Pointed-to
@@ -76,10 +82,11 @@ struct solve_controls {
     /// race (portfolio, shard SAT race) also *write* this flag when a winner
     /// cancels the losers, so after a decided race it reads true.
     std::atomic<bool>* cancel = nullptr;
-    /// Progress line: the shard schedulers increment it once per settled
-    /// cube (refuted / pruned / satisfied / skipped). Other strategies
-    /// leave it untouched.
-    std::atomic<std::size_t>* progress = nullptr;
+    /// Progress line: the shard dispatcher publishes the plan's cube count
+    /// before dispatching, and the shard schedulers bump `done` once per
+    /// settled cube (refuted / pruned / satisfied / skipped). Other
+    /// strategies leave it untouched.
+    cube_progress* progress = nullptr;
     /// Conflict budget per backend instance (per portfolio member, per
     /// shard sibling pair); a backend that exhausts it answers unknown with
     /// all state intact. The budgeted-rounds disciplines check it at their
@@ -151,8 +158,6 @@ public:
     /// Virtual destructor: backends are owned polymorphically.
     virtual ~solver_backend() = default;
 
-    /// Human-readable backend name (diversified members carry their index).
-    [[nodiscard]] virtual const std::string& name() const = 0;
     /// Decides the prepared instance under extra CNF-level assumption
     /// literals (the shard layer's cubes); may be called repeatedly and
     /// incrementally. A non-null `cancel` set by another thread aborts the
@@ -163,6 +168,10 @@ public:
     backend_result check(const std::atomic<bool>* cancel) { return check_cube({}, cancel); }
     /// Decides the prepared instance without a cancel flag.
     backend_result check() { return check(nullptr); }
+    /// Builds the instance's CNF now if the adapter defers it (smt_backend
+    /// blasts lazily); the cube generator needs the clauses before the
+    /// first check. No-op for eager adapters.
+    virtual void prepare() {}
 
     /// The CNF-level CDCL core of this instance, or nullptr for backends
     /// without one (both shipped adapters have one). The clause-exchange
@@ -177,15 +186,14 @@ public:
 /// under the configured assumptions.
 class sat_backend final : public solver_backend {
 public:
-    /// Creates an empty instance with the given search options and name.
-    explicit sat_backend(sat::solver_options opts = {}, std::string name = "sat");
+    /// Creates an empty instance with the given search options.
+    explicit sat_backend(sat::solver_options opts = {});
 
     /// The owned CDCL solver, for populating with variables and clauses.
     [[nodiscard]] sat::solver& solver() { return solver_; }
     /// Persistent assumption literals added to every check_cube call.
     void set_assumptions(std::vector<sat::lit> assumptions);
 
-    [[nodiscard]] const std::string& name() const override { return name_; }
     backend_result check_cube(const std::vector<sat::lit>& cube,
                               const std::atomic<bool>* cancel) override;
     [[nodiscard]] sat::solver* sat_core() override { return &solver_; }
@@ -193,7 +201,6 @@ public:
 private:
     sat::solver solver_;
     std::vector<sat::lit> assumptions_;
-    std::string name_;
 };
 
 /// Term-level adapter owning an smt::smt_solver over a shared term_manager.
@@ -206,10 +213,8 @@ public:
     /// the (non-persisted) `assumptions`. Blasting is deferred to the first
     /// check_cube / prepare call; all terms must already exist in `tm`.
     smt_backend(smt::term_manager& tm, std::vector<smt::term> assertions,
-                std::vector<smt::term> assumptions = {}, sat::solver_options opts = {},
-                std::string name = "smt");
+                std::vector<smt::term> assumptions = {}, sat::solver_options opts = {});
 
-    [[nodiscard]] const std::string& name() const override { return name_; }
     backend_result check_cube(const std::vector<sat::lit>& cube,
                               const std::atomic<bool>* cancel) override;
     [[nodiscard]] sat::solver* sat_core() override { return &solver_.sat_core(); }
@@ -220,7 +225,7 @@ public:
     /// Blasts the assertions and assumption terms if not yet done. Called
     /// implicitly by check_cube; explicitly by the cube generator, which
     /// needs the CNF before the first solve.
-    void prepare();
+    void prepare() override;
 
 private:
     smt::smt_solver solver_;
@@ -228,7 +233,6 @@ private:
     std::vector<smt::term> assumptions_;
     std::vector<sat::lit> assumption_lits_;
     bool asserted_ = false;
-    std::string name_;
 };
 
 /// Reads many term values out of one model: the env is taken once and

@@ -19,8 +19,7 @@ struct query_state {
     std::atomic<bool> cancel_requested{false};
     std::atomic<bool> started{false};
     std::atomic<bool> finished{false};
-    std::atomic<std::size_t> cubes_total{0};
-    std::atomic<std::size_t> cubes_done{0};
+    cube_progress cubes;
     // Live telemetry feed behind query_progress: conflict deltas pushed by
     // the solver progress hooks at restart boundaries, and the resolved
     // strategy kind (updated once classification runs).
@@ -76,8 +75,8 @@ query_progress query_handle::progress() const {
     p.started = state_->started.load(std::memory_order_relaxed);
     p.finished = state_->finished.load(std::memory_order_relaxed);
     p.cancel_requested = state_->cancel_requested.load(std::memory_order_relaxed);
-    p.cubes_total = state_->cubes_total.load(std::memory_order_relaxed);
-    p.cubes_done = state_->cubes_done.load(std::memory_order_relaxed);
+    p.cubes_total = state_->cubes.total.load(std::memory_order_relaxed);
+    p.cubes_done = state_->cubes.done.load(std::memory_order_relaxed);
     p.conflicts = state_->live_conflicts.load(std::memory_order_relaxed);
     p.strategy = state_->live_strategy.load(std::memory_order_relaxed);
     return p;
@@ -139,15 +138,7 @@ void engine_session::note_completed(const backend_result& result) {
 // ---- smt_engine -------------------------------------------------------------
 
 std::string engine_config::validate() const {
-    if (portfolio_members == 0) return "portfolio_members must be >= 1";
-    if (portfolio_members > 1024) return "portfolio_members must be <= 1024";
     if (threads > max_threads) return "threads must be <= " + std::to_string(max_threads);
-    if (shard_depth > 12) return "shard_depth must be <= 12 (the cube generator's clamp)";
-    if (shard_probe_candidates == 0) return "shard_probe_candidates must be >= 1";
-    if (sharing.enabled && sharing.max_clause_size == 0)
-        return "sharing.max_clause_size must be >= 1 when sharing is enabled";
-    if (sharing.enabled && sharing.slice_conflicts == 0)
-        return "sharing.slice_conflicts must be >= 1 when sharing is enabled";
     return {};
 }
 
@@ -160,31 +151,9 @@ void strategy_picks::count(strategy_kind k) {
     }
 }
 
-namespace {
-
-/// Translates the engine configuration into the strategy defaults every
-/// request resolves against.
-resolved_strategy defaults_from(const engine_config& cfg) {
-    resolved_strategy d;
-    d.members = std::max(1u, cfg.portfolio_members);
-    d.depth = cfg.shard_depth;
-    d.probe_candidates = cfg.shard_probe_candidates;
-    d.sharing = cfg.sharing;
-    d.features = cfg.solver_features;
-    d.use_cache = cfg.use_cache;
-    return d;
-}
-
-/// Members the classifier falls back to when it picks a portfolio but
-/// neither the request nor the engine names a member count > 1.
-constexpr unsigned auto_portfolio_members = 4;
-
-}  // namespace
-
 smt_engine::smt_engine(smt::term_manager& tm, engine_config cfg)
     : tm_(tm),
       cfg_(std::move(cfg)),
-      defaults_(defaults_from(cfg_)),
       cache_(cfg_.shared_cache
                  ? cfg_.shared_cache
                  : std::make_shared<query_cache>(tm, cfg_.cache_capacity, cfg_.cache_path)) {
@@ -244,49 +213,30 @@ backend_result smt_engine::run_request(const solve_request& req, detail::query_s
         rs = state.stats.strategy;
     }
     obs::trace_collector* tr = cfg_.trace.get();
-    // Live-telemetry install: every backend's CDCL core pushes its
-    // restart-boundary conflict deltas into the query's live counter (the
-    // hook only reads the stats snapshot — the search is untouched).
-    auto instrument = [&state](solver_backend& b) {
-        if (sat::solver* core = b.sat_core(); core != nullptr)
-            core->set_progress(
-                [&state, last = std::uint64_t{0}](const sat::solver_stats& s) mutable {
-                    state.live_conflicts.fetch_add(s.conflicts - last, std::memory_order_relaxed);
-                    last = s.conflicts;
-                });
+    // Every instance of the query is built here, with the live-telemetry
+    // install: its CDCL core pushes restart-boundary conflict deltas into
+    // the query's live counter (the hook only reads the stats snapshot —
+    // the search is untouched).
+    auto make = [&](unsigned, sat::solver_options opts) -> std::unique_ptr<solver_backend> {
+        auto b = std::make_unique<smt_backend>(tm_, req.assertions, req.assumptions, opts);
+        b->sat_core()->set_progress(
+            [&state, last = std::uint64_t{0}](const sat::solver_stats& s) mutable {
+                state.live_conflicts.fetch_add(s.conflicts - last, std::memory_order_relaxed);
+                last = s.conflicts;
+            });
+        return b;
     };
-    // The prototype instance serves three masters: the automatic
-    // classifier reads its blasted size, the single path solves it
-    // directly, and the shard path runs the cube lookahead on it — so the
-    // blasting cost is paid once wherever possible.
-    std::unique_ptr<smt_backend> proto;
-    auto make_proto = [&](const char* name) {
-        proto = std::make_unique<smt_backend>(tm_, req.assertions, req.assumptions,
-                                              sat::apply_features({}, rs.features), name);
-        proto->prepare();
-        instrument(*proto);
-    };
-
+    // The classifier reads the blasted prototype's size, and the executor
+    // recycles it, so the blasting cost is paid once.
+    std::unique_ptr<solver_backend> proto;
     if (rs.kind == strategy_kind::automatic) {
         obs::span resolve_span(tr, trace_track_, "resolve");
         resolve_span.arg("query", state.query_id);
-        make_proto("smt");
-        query_features f;
-        sat::solver& core = *proto->sat_core();
-        f.variables = static_cast<std::size_t>(core.num_vars());
-        f.clauses = core.num_clauses();
-        f.assumptions = req.assumptions.size();
-        // The thread budget, without forcing the (lazily created) pool
-        // into existence: a classification that picks `single` must not
-        // spawn workers.
-        f.threads = cfg_.threads == 0 ? default_concurrency() : cfg_.threads;
-        // Explicitly-set request fields survive the classification: the
-        // precedence order is request field > classifier pick > engine
-        // default.
-        struct strategy merged = req.strategy.overriding(strategy::auto_select(f));
-        if (merged.kind == strategy_kind::portfolio && !merged.members && defaults_.members <= 1)
-            merged.members = auto_portfolio_members;
-        rs = merged.resolve(defaults_);
+        proto = make(0, sat::apply_features({}, rs.features));
+        proto->prepare();
+        // cfg_.threads, not the pool: a classification that picks `single`
+        // must not spawn workers.
+        rs = classify(req.strategy, *proto->sat_core(), req.assumptions.size(), cfg_.threads);
         {
             sd::lock_guard lock(state.mutex);
             state.stats.strategy = rs;
@@ -303,89 +253,21 @@ backend_result smt_engine::run_request(const solve_request& req, detail::query_s
 
     solve_controls controls;
     controls.cancel = &state.cancel;
-    controls.progress = &state.cubes_done;
+    controls.progress = &state.cubes;
     controls.conflict_budget = rs.conflict_budget;
     controls.live_conflicts = &state.live_conflicts;
     controls.trace = tr;
     controls.trace_track = trace_track_;
     controls.trace_query = state.query_id;
-
-    backend_result result;
-    switch (rs.kind) {
-        case strategy_kind::automatic: break;  // unreachable: resolved above
-        case strategy_kind::single: {
-            {
-                sd::lock_guard lock(stats_mutex_);
-                ++stats_.solver_runs;
-            }
-            if (!proto) make_proto("smt");
-            if (rs.conflict_budget != 0) {
-                sat::solver& core = *proto->sat_core();
-                core.set_conflict_pause(core.stats().conflicts + rs.conflict_budget);
-            }
-            result = proto->check(&state.cancel);
-            sd::lock_guard lock(state.mutex);
-            state.stats.winner_name = proto->name();
-            break;
-        }
-        case strategy_kind::portfolio: {
-            {
-                sd::lock_guard lock(stats_mutex_);
-                stats_.solver_runs += rs.members;
-            }
-            portfolio_config pcfg;
-            pcfg.members = rs.members;
-            pcfg.sharing = rs.sharing;
-            // Member 0's options are the baseline, so a prototype built for
-            // the classifier is recycled as member 0 instead of re-blasting.
-            auto recycled = std::make_shared<std::unique_ptr<smt_backend>>(std::move(proto));
-            auto factory = [this, &req, recycled, &instrument,
-                            &rs](unsigned member) -> std::unique_ptr<solver_backend> {
-                if (member == 0 && *recycled) return std::move(*recycled);
-                auto b = std::make_unique<smt_backend>(
-                    tm_, req.assertions, req.assumptions,
-                    sat::apply_features(diversified_options(member), rs.features),
-                    "smt#" + std::to_string(member));
-                instrument(*b);
-                return b;
-            };
-            portfolio_outcome outcome = race(factory, pcfg, &pool(), controls);
-            result = std::move(outcome.result);
-            sd::lock_guard lock(state.mutex);
-            state.stats.winner = outcome.winner;
-            state.stats.winner_name = std::move(outcome.winner_name);
-            state.stats.rounds = outcome.rounds;
-            break;
-        }
-        case strategy_kind::shard: {
-            // Prototype: blast once (same construction order as every
-            // replica, so cube literals transfer) and run the lookahead
-            // pass on its SAT core.
-            if (!proto) make_proto("shard-proto");
-            cube_plan plan = generate_cubes(
-                *proto->sat_core(),
-                {.depth = rs.depth, .probe_candidates = rs.probe_candidates});
-            state.cubes_total.store(plan.cubes.size(), std::memory_order_relaxed);
-            shard_outcome outcome = solve_cubes(
-                [&](std::size_t pair) {
-                    {
-                        sd::lock_guard lock(stats_mutex_);
-                        ++stats_.solver_runs;
-                    }
-                    auto b = std::make_unique<smt_backend>(
-                        tm_, req.assertions, req.assumptions, sat::apply_features({}, rs.features),
-                        "shard#" + std::to_string(pair));
-                    instrument(*b);
-                    return b;
-                },
-                plan, pool(), rs.sharing, controls);
-            result = std::move(outcome.result);
-            sd::lock_guard lock(state.mutex);
-            state.stats.shard = outcome.stats;
-            state.stats.rounds = outcome.stats.rounds;
-            break;
-        }
+    // `single` runs on the calling thread without a pool, so the inline
+    // solve() path stays thread-free.
+    thread_pool* workers = rs.kind == strategy_kind::single ? nullptr : &pool();
+    dispatch_outcome out = execute(rs, std::move(proto), make, workers, cfg_.threads, controls);
+    {
+        sd::lock_guard lock(stats_mutex_);
+        stats_.solver_runs += out.instances;
     }
+    backend_result result = std::move(out.result);
     // Safety net for schedulers that returned a bare unknown: classify it
     // from the request's own control lines so no unknown ever reaches a
     // caller with status ok.
@@ -395,6 +277,9 @@ backend_result smt_engine::run_request(const solve_request& req, detail::query_s
                             : (rs.conflict_budget != 0 ? solve_status::over_budget
                                                        : solve_status::internal);
     sd::lock_guard lock(state.mutex);
+    state.stats.winner = out.winner;
+    state.stats.rounds = out.rounds;
+    state.stats.shard = out.shard;
     state.stats.conflicts = result.conflicts;
     return result;
 }
@@ -462,7 +347,10 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     // coalescing/dispatch (the solve itself is run_and_complete's span).
     obs::span submit_span(tr, trace_track_, "submit");
     submit_span.arg("query", qid);
-    resolved_strategy rs = req.strategy.resolve(defaults_);
+    // An unset cache policy is the engine's; every other unset field takes
+    // the library default.
+    if (!req.strategy.use_cache) req.strategy.use_cache = cfg_.use_cache;
+    resolved_strategy rs = req.strategy.resolve();
     auto state = std::make_shared<detail::query_state>();
     state->query_id = qid;
     state->stats.strategy = rs;

@@ -37,48 +37,27 @@
 
 #include "obs/trace.hpp"
 #include "substrate/annotations.hpp"
-#include "substrate/portfolio.hpp"
 #include "substrate/query_cache.hpp"
 #include "substrate/solve_request.hpp"
 #include "substrate/thread_pool.hpp"
 
 namespace sciduction::substrate {
 
-/// Per-engine configuration: the *defaults* a request's unset strategy
-/// fields resolve against (per-request fields always win — the precedence
-/// contract). See docs/TUNING.md for guidance.
+/// Per-engine configuration: the cache, the worker threads and tracing.
+/// How a query is decided is not configured here: the request's `strategy`
+/// carries it, and its unset fields take the library defaults
+/// (solve_request.hpp). See docs/TUNING.md for guidance.
 struct engine_config {
-    /// Memoize term-level results in the structural query cache.
+    /// Memoize term-level results in the structural query cache; the
+    /// policy of every request whose `strategy::use_cache` is unset.
     bool use_cache = true;
     /// Query-cache capacity (results retained); 0 = unbounded. Bounded
     /// caches evict least-recently-used entries, keeping long CEGIS runs'
     /// memory flat while the hot re-checks stay resident.
     std::size_t cache_capacity = 0;
-    /// Default portfolio members raced per query; 1 = single solver
-    /// (deterministic models), >1 = racing (deterministic answers, winner's
-    /// model).
-    unsigned portfolio_members = 1;
     /// Worker threads for every strategy and for batch/async dispatch
     /// (0 = hardware).
     unsigned threads = 0;
-    /// Default cube-and-conquer split depth for shard requests: up to
-    /// 2^depth cubes per query. 0 degrades a shard request to the portfolio
-    /// resolution — callers can route their hardest query through a shard
-    /// strategy unconditionally and let the config decide.
-    unsigned shard_depth = 0;
-    /// Default lookahead probes per cube generation.
-    unsigned shard_probe_candidates = 16;
-    /// Default learnt-clause exchange between portfolio members and between
-    /// shard sibling pairs. Off by default (legacy behaviour,
-    /// byte-identical); sharing.deterministic makes shared runs
-    /// reproducible across thread counts. See docs/TUNING.md.
-    sharing_config sharing{};
-    /// Default CDCL feature toggles (Glucose clause-DB reduction and
-    /// restart-boundary inprocessing) applied to every solver instance the
-    /// engine constructs — including diversified portfolio members and
-    /// shard replicas. Off by default (legacy behaviour, bit-identical);
-    /// per-request `strategy::features` overrides. See docs/TUNING.md.
-    sat::solver_features solver_features{};
     /// Persist the query cache at this path: loaded when the engine is
     /// constructed, saved when it is destroyed (and on explicit
     /// cache().save()), so repeated CLI/CI runs of the same workload start
@@ -111,12 +90,11 @@ struct engine_config {
     /// construction); empty = "engine". Ignored when `trace` is null.
     std::string trace_track_name{};
 
-    /// Checks the configuration for nonsense the clamping defaults would
-    /// otherwise paper over (`portfolio_members == 0`, a shard depth beyond
-    /// the cube generator's clamp, sharing that can never share). Returns
-    /// an explanation, or empty when valid. The smt_engine constructor
-    /// throws std::invalid_argument on a failing config — misconfiguring
-    /// an engine is a programming error, unlike a malformed request.
+    /// Checks the configuration for nonsense (a thread count above
+    /// `max_threads`). Returns an explanation, or empty when valid. The
+    /// smt_engine constructor throws std::invalid_argument on a failing
+    /// config — misconfiguring an engine is a programming error, unlike a
+    /// malformed request.
     [[nodiscard]] std::string validate() const;
 };
 
@@ -177,7 +155,6 @@ struct request_stats {
     bool cache_hit = false;      ///< answered from the query cache
     bool coalesced = false;      ///< this handle joined an in-flight duplicate
     unsigned winner = 0;         ///< kind portfolio: member that answered
-    std::string winner_name;     ///< its backend name (empty otherwise)
     std::uint64_t conflicts = 0; ///< conflicts of the returned result
     std::uint64_t rounds = 0;    ///< budgeted-discipline exchange rounds
     shard_stats shard;           ///< kind shard: work breakdown (else zeroed)
@@ -315,8 +292,8 @@ private:
 };
 
 /// The deductive-query facade: one engine per (term_manager, workload)
-/// owning the query cache, the worker pool and the strategy defaults. See
-/// the file comment and docs/ARCHITECTURE.md.
+/// owning the query cache and the worker pool. See the file comment and
+/// docs/ARCHITECTURE.md.
 class smt_engine {
 public:
     /// Binds the engine to `tm` (which must outlive it) with `cfg`.
@@ -333,11 +310,13 @@ public:
     [[nodiscard]] engine_stats stats() const;
 
     /// THE entry point: submits one request and returns its handle. The
-    /// request's strategy resolves against the engine defaults (set fields
-    /// override, unset inherit; `automatic` classifies via
-    /// strategy::auto_select once the features are known). The solve runs
-    /// on the engine's pool; a cache hit resolves the handle immediately,
-    /// and a submit equal to an in-flight one coalesces onto its handle.
+    /// request's strategy resolves against the library defaults (set
+    /// fields override, unset take `resolved_strategy`'s initializers, an
+    /// unset `use_cache` takes `engine_config::use_cache`; `automatic` is
+    /// classified on the blasted prototype), and the shared executor
+    /// (`execute`, solve_request.hpp) decides it on the engine's pool; a
+    /// cache hit resolves the handle immediately, and a submit equal to an
+    /// in-flight one coalesces onto its handle.
     /// All terms must be built before the call, and no thread may create
     /// terms until the handle is ready (backends read the shared manager
     /// while solving).
@@ -408,7 +387,6 @@ private:
 
     smt::term_manager& tm_;
     engine_config cfg_;
-    resolved_strategy defaults_;  // cfg_ translated into strategy defaults
     std::uint32_t trace_track_ = 0;  // span track in cfg_.trace (0 = tracing off)
     // Owned (constructed from cfg_.cache_capacity / cache_path) unless the
     // config supplied a shared_cache, in which case that one is used and

@@ -56,7 +56,6 @@ portfolio_outcome race_single(const backend_factory& factory, const solve_contro
     outcome.result = backend->check(controls.cancel);
     slice.arg("conflicts", outcome.result.conflicts);
     slice.end();
-    outcome.winner_name = backend->name();
     outcome.total_conflicts = outcome.result.conflicts;
     return outcome;
 }
@@ -113,7 +112,6 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
         state.decided = true;
         state.outcome.result = std::move(result);
         state.outcome.winner = static_cast<unsigned>(member);
-        state.outcome.winner_name = backend->name();
         state.cancel->store(true, std::memory_order_relaxed);
     });
     // parallel_for is a barrier, but the analysis cannot see that: read
@@ -204,7 +202,6 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
             if (decided[m] == 0) continue;
             out.result = std::move(answers[m]);
             out.winner = m;
-            out.winner_name = team[m]->name();
             if (sat::solver* core = team[m]->sat_core()) {
                 // The deciding slice's delta would understate the winner's
                 // whole solve; report its cumulative conflicts, matching

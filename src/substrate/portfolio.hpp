@@ -63,7 +63,6 @@ using backend_factory = std::function<std::unique_ptr<solver_backend>(unsigned m
 struct portfolio_outcome {
     backend_result result;     ///< first definite answer (winner's model if sat)
     unsigned winner = 0;       ///< member index that produced the answer
-    std::string winner_name;   ///< its backend name
     /// Total solver conflicts across all members — the scheduling-
     /// independent cost metric the sharing benches compare (shared vs
     /// unshared portfolios decide with fewer total conflicts).

@@ -118,7 +118,7 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
     auto settle = [&](std::size_t i, cube_status fate) {
         out.cube_fates[i] = fate;
         if (controls.progress != nullptr)
-            controls.progress->fetch_add(1, std::memory_order_relaxed);
+            controls.progress->done.fetch_add(1, std::memory_order_relaxed);
     };
 
     struct race_state {
@@ -252,7 +252,7 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
     auto settle = [&](std::size_t i, cube_status fate) {
         out.cube_fates[i] = fate;
         if (controls.progress != nullptr)
-            controls.progress->fetch_add(1, std::memory_order_relaxed);
+            controls.progress->done.fetch_add(1, std::memory_order_relaxed);
     };
 
     clause_pool exchange(sharing);

@@ -102,9 +102,9 @@ struct shard_outcome {
 /// `pair`. The construction must be deterministic — every replica must
 /// produce the same CNF with the same variable numbering as the solver
 /// `generate_cubes` probed, or the plan's cube literals are meaningless
-/// (same contract as the invgen portfolio factories). The index exists so
-/// the caller can name a pair's replica; callers that do not need it
-/// ignore it. Deterministic: pair p always receives index p regardless of
+/// (same contract as the invgen portfolio factories). The index exists for
+/// callers that keep per-pair metadata; callers that do not need it ignore
+/// it. Deterministic: pair p always receives index p regardless of
 /// scheduling.
 using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std::size_t pair)>;
 
@@ -127,10 +127,10 @@ using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std:
 ///
 /// `controls` carries the external control lines: a cooperative cancel
 /// flag (set it and every pair aborts; undecided cubes are marked skipped
-/// and the outcome answers unknown), a progress counter bumped once per
-/// settled cube, and a per-pair conflict budget (armed as a conflict-pause
-/// on the free scheduler, checked at the round barriers of the
-/// deterministic one).
+/// and the outcome answers unknown), a progress line whose `done` count is
+/// bumped once per settled cube, and a per-pair conflict budget (armed as
+/// a conflict-pause on the free scheduler, checked at the round barriers
+/// of the deterministic one).
 shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan& plan,
                           thread_pool& pool, const sharing_config& sharing = {},
                           const solve_controls& controls = {});

@@ -68,8 +68,8 @@ strategy strategy::overriding(strategy pick) const {
     return pick;
 }
 
-resolved_strategy strategy::resolve(const resolved_strategy& defaults) const {
-    resolved_strategy r = defaults;
+resolved_strategy strategy::resolve() const {
+    resolved_strategy r;
     r.kind = kind;
     if (members) r.members = *members;
     if (depth) r.depth = *depth;
@@ -79,13 +79,13 @@ resolved_strategy strategy::resolve(const resolved_strategy& defaults) const {
     if (use_cache) r.use_cache = *use_cache;
     r.conflict_budget = conflict_budget;
     r.time_budget_ms = time_budget_ms;
-    // Normalize degenerate combinations: a shard request with no depth
-    // *is* the portfolio path, and a 1-member portfolio *is* a single
-    // solve. `automatic` keeps its kind — the engine classifies once
-    // features are known — but its fields are resolved so explicit
-    // per-request settings survive the classification.
-    if (r.kind == strategy_kind::shard && r.depth == 0) r.kind = strategy_kind::portfolio;
-    if (r.kind == strategy_kind::portfolio && r.members <= 1) r.kind = strategy_kind::single;
+    // Normalize degenerate combinations: a 1-member portfolio and a shard
+    // of no split variables *are* single solves. `automatic` keeps its
+    // kind — classify picks once the prototype exists — but its fields
+    // are resolved so explicit per-request settings survive the pick.
+    if ((r.kind == strategy_kind::portfolio && r.members <= 1) ||
+        (r.kind == strategy_kind::shard && r.depth == 0))
+        r.kind = strategy_kind::single;
     return r;
 }
 
@@ -111,6 +111,79 @@ std::string solve_request::validate() const {
     return strategy.validate();
 }
 
+resolved_strategy classify(const strategy& requested, const sat::solver& prototype,
+                           std::size_t assumptions, unsigned threads) {
+    query_features f;
+    f.variables = static_cast<std::size_t>(prototype.num_vars());
+    f.clauses = prototype.num_clauses();
+    f.assumptions = assumptions;
+    f.threads = threads == 0 ? default_concurrency() : threads;
+    return requested.overriding(strategy::auto_select(f)).resolve();
+}
+
+dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_backend> prototype,
+                         const instance_factory& make, thread_pool* pool, unsigned threads,
+                         const solve_controls& controls) {
+    // Member 0's options are the baseline: the prototype, a single solve,
+    // portfolio member 0 and every shard replica are built with them.
+    const sat::solver_options baseline = sat::apply_features({}, rs.features);
+    if (!prototype && rs.kind != strategy_kind::portfolio) prototype = make(0, baseline);
+    dispatch_outcome out;
+    if (rs.kind == strategy_kind::portfolio) {
+        const portfolio_config pcfg{
+            .members = rs.members, .threads = threads, .sharing = rs.sharing};
+        auto factory = [&](unsigned member) -> std::unique_ptr<solver_backend> {
+            if (member == 0 && prototype) return std::move(prototype);
+            return make(member, sat::apply_features(diversified_options(member), rs.features));
+        };
+        portfolio_outcome race_out = race(factory, pcfg, pool, controls);
+        out.result = std::move(race_out.result);
+        out.winner = race_out.winner;
+        out.total_conflicts = race_out.total_conflicts;
+        out.sharing = race_out.sharing;
+        out.rounds = race_out.rounds;
+        out.instances = rs.members;
+        return out;
+    }
+    if (rs.kind == strategy_kind::shard) {
+        // Lookahead on the prototype picks the split variables, then the
+        // cube tree is dispatched across the pool. The cube count is
+        // published first: progress readers poll it mid-flight.
+        prototype->prepare();
+        cube_plan plan = generate_cubes(
+            *prototype->sat_core(), {.depth = rs.depth, .probe_candidates = rs.probe_candidates});
+        if (controls.progress != nullptr)
+            controls.progress->total.store(plan.cubes.size(), std::memory_order_relaxed);
+        std::unique_ptr<thread_pool> transient;
+        if (pool == nullptr) {
+            transient =
+                std::make_unique<thread_pool>(threads == 0 ? default_concurrency() : threads);
+            pool = transient.get();
+        }
+        std::atomic<std::uint64_t> replicas{0};
+        shard_outcome shard_out = solve_cubes(
+            [&](std::size_t) {
+                replicas.fetch_add(1, std::memory_order_relaxed);
+                return make(0, baseline);
+            },
+            plan, *pool, rs.sharing, controls);
+        out.result = std::move(shard_out.result);
+        out.total_conflicts = shard_out.stats.conflicts;
+        out.sharing = shard_out.stats.sharing;
+        out.rounds = shard_out.stats.rounds;
+        out.shard = shard_out.stats;
+        out.instances = replicas.load(std::memory_order_relaxed);
+        return out;
+    }
+    sat::solver* core = prototype->sat_core();
+    if (controls.conflict_budget != 0 && core != nullptr)
+        core->set_conflict_pause(core->stats().conflicts + controls.conflict_budget);
+    out.result = prototype->check(controls.cancel);
+    out.total_conflicts = out.result.conflicts;
+    out.instances = 1;
+    return out;
+}
+
 cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned threads,
                       const solve_controls& controls, query_cache* cache) {
     std::string err = strat.validate();
@@ -124,28 +197,29 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
         out.result.status_detail = std::move(err);
         return out;
     }
-    // Library-level defaults (no engine_config at the CNF level): the
-    // portfolio/cube defaults of portfolio_config / cube_config.
-    resolved_strategy defaults;
-    defaults.members = 4;
-    defaults.depth = 3;
-    resolved_strategy rs = strat.resolve(defaults);
-
-    // The prototype instance is built at most once and recycled: the
-    // fingerprint and the automatic classifier read it, the single path
-    // solves it, and the shard paths run the cube lookahead on it.
-    std::unique_ptr<sat_backend> proto;
-    auto make_proto = [&] {
-        proto = std::make_unique<sat_backend>(sat::apply_features({}, rs.features), "cnf#0");
-        build(0, proto->solver());
+    resolved_strategy rs = strat.resolve();
+    // The strategy's own budget takes precedence over the caller-supplied
+    // control line (per-request fields override ambient state throughout).
+    solve_controls inner = controls;
+    if (rs.conflict_budget != 0) inner.conflict_budget = rs.conflict_budget;
+    auto make = [&](unsigned member, sat::solver_options opts) -> std::unique_ptr<solver_backend> {
+        auto backend = std::make_unique<sat_backend>(opts);
+        build(member, backend->solver());
+        return backend;
     };
+    // The prototype instance is built at most once and recycled: the
+    // fingerprint and the automatic classifier read it, and execute reuses
+    // it as the single instance, member 0 or the lookahead instance.
+    std::unique_ptr<solver_backend> proto;
+    const bool use_cnf_cache = cache != nullptr && rs.use_cache;
+    if (use_cnf_cache || rs.kind == strategy_kind::automatic)
+        proto = make(0, sat::apply_features({}, rs.features));
 
     cnf_outcome out;
     cnf_fingerprint fp;
-    const bool use_cnf_cache = cache != nullptr && rs.use_cache;
     if (use_cnf_cache) {
-        make_proto();
-        fp = cnf_fingerprint::of(proto->solver());
+        sat::solver& core = *proto->sat_core();
+        fp = cnf_fingerprint::of(core);
         if (auto cached = cache->lookup_cnf(fp)) {
             if (cached->is_unsat()) {
                 // Unsat transfers directly: the fingerprint identifies the
@@ -166,17 +240,15 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
             std::vector<sat::lit> model_lits;
             model_lits.reserve(cached->sat_model.size());
             for (std::size_t v = 0; v < cached->sat_model.size(); ++v) {
-                if (static_cast<int>(v) >= proto->solver().num_vars()) break;
+                if (static_cast<int>(v) >= core.num_vars()) break;
                 if (cached->sat_model[v] == sat::lbool::l_undef) continue;
                 model_lits.push_back(sat::mk_lit(static_cast<sat::var>(v),
                                                  cached->sat_model[v] == sat::lbool::l_false));
             }
-            const std::uint64_t budget =
-                rs.conflict_budget != 0 ? rs.conflict_budget : controls.conflict_budget;
-            if (budget != 0)
-                proto->solver().set_conflict_pause(proto->solver().stats().conflicts + budget);
-            backend_result validated = proto->check_cube(model_lits, controls.cancel);
-            if (budget != 0) proto->solver().set_conflict_pause(0);
+            const std::uint64_t budget = inner.conflict_budget;
+            if (budget != 0) core.set_conflict_pause(core.stats().conflicts + budget);
+            backend_result validated = proto->check_cube(model_lits, inner.cancel);
+            if (budget != 0) core.set_conflict_pause(0);
             if (validated.is_sat()) {
                 validated.conflicts = cached->conflicts;
                 out.result = std::move(validated);
@@ -187,86 +259,15 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
             }
         }
     }
+    if (rs.kind == strategy_kind::automatic)
+        rs = classify(strat, *proto->sat_core(), /*assumptions=*/0, threads);
+    static_cast<dispatch_outcome&>(out) =
+        execute(rs, std::move(proto), make, /*pool=*/nullptr, threads, inner);
+    out.executed = rs.kind;
     // Memoizes a definite outcome under the fingerprint computed above
     // (the digest is stable across the solve: search never re-enters
     // add_clause).
-    auto memoize = [&](const backend_result& r) {
-        if (use_cnf_cache) cache->insert_cnf(fp, r);
-    };
-    if (rs.kind == strategy_kind::automatic) {
-        // Classify on the prototype's size.
-        if (!proto) make_proto();
-        query_features f;
-        f.variables = static_cast<std::size_t>(proto->solver().num_vars());
-        f.clauses = proto->solver().num_clauses();
-        f.threads = threads == 0 ? default_concurrency() : threads;
-        // Explicitly-set request fields survive the classification — the
-        // same precedence order as the engine path.
-        rs = strat.overriding(strategy::auto_select(f)).resolve(defaults);
-    }
-    out.executed = rs.kind;
-
-    // The strategy's own budget takes precedence over the caller-supplied
-    // control line (per-request fields override ambient state throughout).
-    solve_controls inner = controls;
-    if (rs.conflict_budget != 0) inner.conflict_budget = rs.conflict_budget;
-
-    if (rs.kind == strategy_kind::single) {
-        if (!proto) make_proto();
-        if (inner.conflict_budget != 0)
-            proto->solver().set_conflict_pause(proto->solver().stats().conflicts +
-                                               inner.conflict_budget);
-        out.result = proto->check(inner.cancel);
-        out.total_conflicts = out.result.conflicts;
-        memoize(out.result);
-        return out;
-    }
-
-    if (rs.kind == strategy_kind::portfolio) {
-        portfolio_config pcfg;
-        pcfg.members = rs.members;
-        // 0 passes through: race()'s transient pool then clamps to
-        // min(members, hardware) rather than spawning a full-width pool.
-        pcfg.threads = threads;
-        pcfg.sharing = rs.sharing;
-        // Member 0's options are the baseline, so a prototype built for the
-        // classifier is recycled instead of re-running the builder.
-        auto factory = [&](unsigned member) -> std::unique_ptr<solver_backend> {
-            if (member == 0 && proto) return std::move(proto);
-            auto backend = std::make_unique<sat_backend>(
-                sat::apply_features(diversified_options(member), rs.features),
-                "cnf#" + std::to_string(member));
-            build(member, backend->solver());
-            return backend;
-        };
-        portfolio_outcome race_out = race(factory, pcfg, nullptr, inner);
-        out.result = std::move(race_out.result);
-        out.winner = race_out.winner;
-        out.total_conflicts = race_out.total_conflicts;
-        out.sharing = race_out.sharing;
-        memoize(out.result);
-        return out;
-    }
-
-    // Shard: lookahead on the prototype picks the split variables, then the
-    // cube tree is dispatched across a pool.
-    if (!proto) make_proto();
-    cube_plan plan = generate_cubes(proto->solver(),
-                                    {.depth = rs.depth, .probe_candidates = rs.probe_candidates});
-    thread_pool pool(threads == 0 ? default_concurrency() : threads);
-    shard_outcome shard_out = solve_cubes(
-        [&](std::size_t pair) {
-            auto backend = std::make_unique<sat_backend>(sat::apply_features({}, rs.features),
-                                                         "cnf-shard#" + std::to_string(pair));
-            build(0, backend->solver());
-            return backend;
-        },
-        plan, pool, rs.sharing, inner);
-    out.result = std::move(shard_out.result);
-    out.total_conflicts = shard_out.stats.conflicts;
-    out.sharing = shard_out.stats.sharing;
-    out.shard = shard_out.stats;
-    memoize(out.result);
+    if (use_cnf_cache) cache->insert_cnf(fp, out.result);
     return out;
 }
 

@@ -8,7 +8,9 @@
 /// fields. `smt_engine::submit`
 /// (engine.hpp) is the one entry point consuming it; `solve_cnf` below is
 /// the CNF-level analogue for workloads (invgen) that build clauses
-/// directly instead of terms.
+/// directly instead of terms. Both decide every instance through the one
+/// dispatcher declared here: `classify` resolves an `automatic` request
+/// on its prototype instance, and `execute` runs the resolved strategy.
 ///
 /// `strategy::auto_select` closes the ROADMAP "adaptive member selection
 /// per query shape" item: a deterministic classifier over cheap structural
@@ -36,13 +38,14 @@ enum class strategy_kind : std::uint8_t {
 /// Human-readable name of a strategy kind (bench/stat labels).
 const char* to_string(strategy_kind k);
 
-/// A strategy after resolution against the defaults: every knob concrete,
-/// `kind` never `automatic`. This is what the engine actually executes and
-/// what `query_handle::stats()` reports back.
+/// A strategy after resolution: every knob concrete, `kind` never
+/// `automatic` once classified. This is what `execute` runs and what
+/// `query_handle::stats()` reports back. The initializers are the library
+/// defaults every unset request field takes (docs/TUNING.md).
 struct resolved_strategy {
     strategy_kind kind = strategy_kind::single;  ///< concrete execution discipline
-    unsigned members = 1;            ///< portfolio members (kind portfolio)
-    unsigned depth = 0;              ///< cube split depth (kind shard)
+    unsigned members = 4;            ///< portfolio members (kind portfolio)
+    unsigned depth = 3;              ///< cube split depth (kind shard)
     unsigned probe_candidates = 16;  ///< lookahead probes per cube generation
     sharing_config sharing{};        ///< learnt-clause exchange knobs
     sat::solver_features features{}; ///< CDCL feature toggles (reduction/inprocessing)
@@ -52,9 +55,8 @@ struct resolved_strategy {
 };
 
 /// The cheap structural features `strategy::auto_select` classifies on.
-/// The engine fills them from the blasted prototype instance (whose
-/// construction is paid anyway by the solve); tests construct them
-/// directly.
+/// `classify` fills them from the prototype instance (whose construction
+/// is paid anyway by the solve); tests construct them directly.
 struct query_features {
     std::size_t variables = 0;    ///< CNF variables of the blasted instance
     std::size_t clauses = 0;      ///< CNF problem clauses of the blasted instance
@@ -63,31 +65,33 @@ struct query_features {
 };
 
 /// How to decide one query: the kind plus optional per-request overrides.
-/// Unset fields inherit the engine defaults (`engine_config`), so request
-/// fields always take precedence over engine-global state — the config
-/// precedence contract tested in solve_request_test.cpp.
+/// Unset fields take the library defaults (`resolved_strategy`'s
+/// initializers) in the engine and in `solve_cnf` alike; only an unset
+/// `use_cache` follows the engine's `engine_config::use_cache`. The
+/// precedence contract is tested in solve_request_test.cpp.
 struct strategy {
     /// Requested execution discipline; `automatic` defers to auto_select.
     strategy_kind kind = strategy_kind::automatic;
-    /// Portfolio members to race (unset = engine default).
+    /// Portfolio members to race (unset = 4).
     std::optional<unsigned> members;
-    /// Cube split depth for the shard kind (unset = engine default).
+    /// Cube split depth for the shard kind (unset = 3).
     std::optional<unsigned> depth;
-    /// Lookahead probes per cube generation (unset = engine default).
+    /// Lookahead probes per cube generation (unset = 16).
     std::optional<unsigned> probe_candidates;
     /// Learnt-clause exchange knobs, incl. `sharing_config::deterministic`,
     /// which also puts a portfolio on reproducible budgeted rounds (unset =
-    /// engine default).
+    /// no exchange).
     std::optional<sharing_config> sharing;
     /// CDCL feature toggles — Glucose clause-DB reduction and restart-
     /// boundary inprocessing (`sat::solver_features`). Applied on top of
     /// every instance's options (including diversified portfolio members),
     /// so the whole strategy runs with one feature set; triggers are
     /// conflict-count based, keeping the deterministic disciplines
-    /// bit-identical across thread counts (unset = engine default).
+    /// bit-identical across thread counts (unset = both off).
     std::optional<sat::solver_features> features;
-    /// Consult/populate the query cache for this request (unset = engine
-    /// default). Coalescing of in-flight duplicates is independent of this.
+    /// Consult/populate the query cache for this request (unset = the
+    /// engine's `engine_config::use_cache`; on in `solve_cnf`). Coalescing
+    /// of in-flight duplicates is independent of this.
     std::optional<bool> use_cache;
     /// Conflict budget per solver instance; exhausting it yields
     /// answer::unknown. 0 = unlimited.
@@ -99,12 +103,11 @@ struct strategy {
 
     /// A strategy left entirely to the classifier.
     static strategy automatic() { return {}; }
-    /// One solver instance, engine defaults for everything else.
+    /// One solver instance, library defaults for everything else.
     static strategy single();
-    /// Portfolio race; `members` 0 inherits the engine default.
+    /// Portfolio race; `members` 0 leaves the count unset (4 members).
     static strategy portfolio(unsigned members = 0);
-    /// Cube-and-conquer; `depth` 0 inherits the engine default (an engine
-    /// `shard_depth` of 0 degrades the request to portfolio/single).
+    /// Cube-and-conquer; `depth` 0 leaves the depth unset (depth 3).
     static strategy shard(unsigned depth = 0);
 
     /// The deterministic per-query classifier (ROADMAP "adaptive member
@@ -118,17 +121,17 @@ struct strategy {
     /// Applies this request's explicitly-set fields over a classifier
     /// pick and returns the combined strategy — the precedence rule
     /// "request field > classifier pick" (defaults apply at resolve
-    /// time); budgets always copy from the request. Both automatic
-    /// dispatchers (smt_engine and solve_cnf) route through this.
+    /// time); budgets always copy from the request. `classify` routes
+    /// through this.
     [[nodiscard]] strategy overriding(strategy pick) const;
 
-    /// Resolves this request against concrete defaults: unset optionals
-    /// inherit, set fields override, budgets copy through. Degenerate
-    /// combinations normalize (portfolio of 1 member => single; shard of
-    /// depth 0 => portfolio resolution). `automatic` resolves its *fields*
-    /// but keeps its kind — the engine classifies once the features are
-    /// known.
-    [[nodiscard]] resolved_strategy resolve(const resolved_strategy& defaults) const;
+    /// Resolves this request against the library defaults: unset optionals
+    /// take `resolved_strategy`'s initializers, set fields override,
+    /// budgets copy through. Degenerate combinations normalize to `single`
+    /// (a 1-member portfolio, a shard of explicit depth 0). `automatic`
+    /// resolves its *fields* but keeps its kind — `classify` picks the
+    /// kind once the prototype instance exists.
+    [[nodiscard]] resolved_strategy resolve() const;
 
     /// Checks the explicitly-set fields for nonsense the resolve/clamp
     /// machinery would otherwise paper over (a 0-member portfolio, a cube
@@ -163,14 +166,48 @@ struct solve_request {
     [[nodiscard]] std::string validate() const;
 };
 
-/// What `solve_cnf` returns: the combined answer plus the per-strategy
-/// accounting the portfolio and shard layers expose.
-struct cnf_outcome {
+/// The shared classifier of `smt_engine` and `solve_cnf`: resolves an
+/// `automatic` request on its prototype's variable and clause counts, the
+/// assumption count and the worker threads (0 = hardware). Precedence:
+/// request field > `strategy::auto_select` pick > library default.
+resolved_strategy classify(const strategy& requested, const sat::solver& prototype,
+                           std::size_t assumptions, unsigned threads);
+
+/// Builds the member'th instance of the query with the given options.
+/// Every instance must encode the identical CNF with identical variable
+/// numbering (the portfolio and shard replica contract).
+using instance_factory =
+    std::function<std::unique_ptr<solver_backend>(unsigned member, sat::solver_options opts)>;
+
+/// What `execute` returns: the verdict plus the accounting of the
+/// discipline that ran.
+struct dispatch_outcome {
     backend_result result;      ///< the verdict (winner's model if sat)
     unsigned winner = 0;        ///< portfolio member that answered (kind portfolio)
     std::uint64_t total_conflicts = 0;  ///< conflicts across all instances
     sharing_counters sharing{};         ///< aggregated exchange counters
     shard_stats shard;                  ///< shard work breakdown (kind shard)
+    std::uint64_t rounds = 0;     ///< budgeted-discipline exchange rounds
+    std::uint64_t instances = 0;  ///< runs: 1, the members, or the shard replicas built
+};
+
+/// The shared executor of `smt_engine` and `solve_cnf`: decides one query
+/// under a resolved strategy. The optional `prototype` (member 0's
+/// options; built through `make` when absent) is recycled as the single
+/// instance, portfolio member 0 or the shard lookahead instance. Member m
+/// gets `diversified_options(m)` under the strategy's features; shard
+/// replicas are member 0. Portfolio and shard run on `pool`, or on a
+/// transient pool of `threads` workers (0 = hardware, capped at a
+/// portfolio's member count) when it is null;
+/// `single` never uses one. A shard publishes its cube count on
+/// `controls.progress` before dispatching.
+dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_backend> prototype,
+                         const instance_factory& make, thread_pool* pool, unsigned threads,
+                         const solve_controls& controls);
+
+/// What `solve_cnf` returns: the executor's outcome plus the kind that ran
+/// and whether the CNF-level cache answered.
+struct cnf_outcome : dispatch_outcome {
     strategy_kind executed = strategy_kind::single;  ///< the kind that actually ran
     /// The result came from the CNF-level cache: no search ran (a cached
     /// sat model is re-validated on the prototype instance by propagation
@@ -191,12 +228,11 @@ class query_cache;
 
 /// CNF-level analogue of `smt_engine::submit` for workloads that build
 /// clauses directly (invgen's refinement rounds and inductive-step proof):
-/// resolves `strat` against library defaults (4 members, depth 3) and
-/// dispatches the built instances through the resolved strategy — single
-/// solve, diversified portfolio race, or cube-and-conquer. `automatic`
-/// classifies on a prototype instance's size. Synchronous; `threads` 0 =
-/// hardware, and more than `max_threads` is reported as
-/// solve_status::malformed.
+/// resolves `strat` against the library defaults and decides the built
+/// instances through `execute` — single solve, diversified portfolio
+/// race, or cube-and-conquer. `automatic` goes through `classify` on a
+/// prototype instance. Synchronous; `threads` 0 = hardware, and more than
+/// `max_threads` is reported as solve_status::malformed.
 ///
 /// A non-null `cache` memoizes results under the instance's
 /// `cnf_fingerprint` (the clause-stream digest — sound because the

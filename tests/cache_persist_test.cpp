@@ -134,7 +134,7 @@ TEST(cross_manager, shared_cache_solves_once_and_remaps_verified_model) {
     smt::term x = tm_a.mk_bv_var("x", 8);
     smt::term f_a = tm_a.mk_and(tm_a.mk_ult(x, tm_a.mk_bv_const(8, 50)),
                                 tm_a.mk_ult(tm_a.mk_bv_const(8, 40), x));
-    auto r_a = solve_portfolio(engine_a, {f_a});
+    auto r_a = solve_single(engine_a, {f_a});
     ASSERT_EQ(r_a.ans, answer::sat);
     EXPECT_EQ(engine_a.stats().solver_runs, 1u);
 
@@ -146,7 +146,7 @@ TEST(cross_manager, shared_cache_solves_once_and_remaps_verified_model) {
     smt::term y = tm_b.mk_bv_var("y", 8);  // renamed variable
     smt::term f_b = tm_b.mk_and(tm_b.mk_ult(y, tm_b.mk_bv_const(8, 50)),
                                 tm_b.mk_ult(tm_b.mk_bv_const(8, 40), y));
-    auto r_b = solve_portfolio(engine_b, {f_b});
+    auto r_b = solve_single(engine_b, {f_b});
     ASSERT_EQ(r_b.ans, answer::sat);
     EXPECT_EQ(engine_b.stats().solver_runs, 0u);
     EXPECT_EQ(engine_b.stats().cache_hits, 1u);
@@ -162,7 +162,7 @@ TEST(cross_manager, unsat_results_transfer) {
     smt::term_manager tm_a;
     smt_engine engine_a(tm_a, {.shared_cache = cache});
     smt::term x = tm_a.mk_bv_var("x", 8);
-    auto r_a = solve_portfolio(engine_a, {tm_a.mk_ult(x, tm_a.mk_bv_const(8, 4)),
+    auto r_a = solve_single(engine_a, {tm_a.mk_ult(x, tm_a.mk_bv_const(8, 4)),
                                tm_a.mk_ult(tm_a.mk_bv_const(8, 9), x)});
     ASSERT_EQ(r_a.ans, answer::unsat);
 
@@ -170,7 +170,7 @@ TEST(cross_manager, unsat_results_transfer) {
     smt_engine engine_b(tm_b, {.shared_cache = cache});
     tm_b.mk_bv_var("junk", 32);  // shift ids off manager A's
     smt::term z = tm_b.mk_bv_var("z", 8);
-    auto r_b = solve_portfolio(engine_b, {tm_b.mk_ult(tm_b.mk_bv_const(8, 9), z),
+    auto r_b = solve_single(engine_b, {tm_b.mk_ult(tm_b.mk_bv_const(8, 9), z),
                                tm_b.mk_ult(z, tm_b.mk_bv_const(8, 4))});
     EXPECT_EQ(r_b.ans, answer::unsat);
     EXPECT_EQ(engine_b.stats().solver_runs, 0u);
@@ -183,8 +183,8 @@ TEST(cross_manager, same_manager_hit_returns_the_first_solves_model) {
     smt::term_manager tm;
     smt_engine engine(tm, {.shared_cache = cache});
     smt::term f = tm.mk_ult(tm.mk_bv_var("x", 16), tm.mk_bv_const(16, 7));
-    auto r1 = solve_portfolio(engine, {f});
-    auto r2 = solve_portfolio(engine, {f});
+    auto r1 = solve_single(engine, {f});
+    auto r2 = solve_single(engine, {f});
     EXPECT_EQ(engine.stats().solver_runs, 1u);
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(engine.stats().remapped_models, 1u);  // verified like every sat hit
@@ -314,7 +314,7 @@ TEST(persistence, engine_warm_starts_from_saved_cache) {
         smt::term_manager tm;
         smt_engine engine(tm, {.cache_path = file.path});
         smt::term x = tm.mk_bv_var("x", 8);
-        auto r = solve_portfolio(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 50)),
+        auto r = solve_single(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 50)),
                                tm.mk_ult(tm.mk_bv_const(8, 40), x)});
         ASSERT_EQ(r.ans, answer::sat);
         EXPECT_EQ(engine.stats().solver_runs, 1u);
@@ -330,7 +330,7 @@ TEST(persistence, engine_warm_starts_from_saved_cache) {
                                 tm.mk_ult(tm.mk_bv_const(8, 40), renamed));
         // Same structure modulo renaming and and-folding differences?
         // Build it exactly like run 1 to be structurally identical.
-        auto r = solve_portfolio(engine, {tm.mk_ult(renamed, tm.mk_bv_const(8, 50)),
+        auto r = solve_single(engine, {tm.mk_ult(renamed, tm.mk_bv_const(8, 50)),
                                tm.mk_ult(tm.mk_bv_const(8, 40), renamed)});
         ASSERT_EQ(r.ans, answer::sat);
         EXPECT_EQ(engine.stats().solver_runs, 0u);
@@ -617,7 +617,7 @@ TEST(application_warm_start, per_request_use_cache_false_skips_persisted_entries
         smt::term_manager tm;
         smt_engine engine(tm, {.cache_path = file.path});
         smt::term x = tm.mk_bv_var("x", 8);
-        (void)solve_portfolio(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 50))});
+        (void)solve_single(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 50))});
     }
     smt::term_manager tm;
     smt_engine engine(tm, {.cache_path = file.path});

@@ -301,8 +301,7 @@ TEST(clause_exchange, publish_filter_counters_merge_losslessly_under_concurrency
 // ---- portfolio integration --------------------------------------------------
 
 std::unique_ptr<sat_backend> pigeonhole_member(unsigned member, int holes) {
-    auto b = std::make_unique<sat_backend>(diversified_options(member),
-                                           "php#" + std::to_string(member));
+    auto b = std::make_unique<sat_backend>(diversified_options(member));
     encode_pigeonhole(b->solver(), holes);
     return b;
 }
@@ -486,16 +485,12 @@ TEST(engine_sharing, sharded_with_sharing_matches_plain_check) {
         tm.mk_ult(x, tm.mk_bv_const(16, 100)),
     };
     smt_engine plain(tm, {});
-    backend_result expect = solve_portfolio(plain, assertions);
+    backend_result expect = solve_single(plain, assertions);
 
-    engine_config cfg;
-    cfg.shard_depth = 2;
-    cfg.threads = 2;
-    cfg.sharing.enabled = true;
-    cfg.sharing.deterministic = true;
-    smt_engine sharded(tm, cfg);
-    shard_stats stats;
-    backend_result got = solve_sharded(sharded, assertions, &stats);
+    strategy shard = strategy::shard(2);
+    shard.sharing = sharing_config{.enabled = true, .deterministic = true};
+    smt_engine sharded(tm, {.threads = 2});
+    backend_result got = sharded.solve({assertions, {}, shard});
     EXPECT_EQ(got.ans, expect.ans);
     if (got.is_sat()) {
         model_evaluator eval(tm, got.model);
@@ -514,18 +509,14 @@ TEST(engine_sharing, deterministic_portfolio_matches_plain_check) {
                        tm.mk_bvsub(tm.mk_bvadd(tm.mk_bvadd(y, x), y), y)),
     };
     smt_engine plain(tm, {});
-    backend_result expect = solve_portfolio(plain, assertions);
+    backend_result expect = solve_single(plain, assertions);
     ASSERT_EQ(expect.ans, answer::unsat);
 
-    engine_config cfg;
-    cfg.use_cache = false;
-    cfg.portfolio_members = 3;
-    cfg.threads = 2;
-    cfg.sharing.enabled = true;
-    cfg.sharing.deterministic = true;
-    cfg.sharing.slice_conflicts = 200;
-    smt_engine budgeted(tm, cfg);
-    query_handle handle = budgeted.submit({assertions, {}, strategy::portfolio()});
+    strategy rounds = strategy::portfolio(3);
+    rounds.sharing =
+        sharing_config{.enabled = true, .deterministic = true, .slice_conflicts = 200};
+    smt_engine budgeted(tm, {.use_cache = false, .threads = 2});
+    query_handle handle = budgeted.submit({assertions, {}, rounds});
     EXPECT_EQ(handle.get().ans, answer::unsat);
     EXPECT_TRUE(handle.stats().strategy.sharing.deterministic);
     EXPECT_GT(handle.stats().rounds, 0u);

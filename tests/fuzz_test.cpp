@@ -301,8 +301,7 @@ TEST(bve_reconstruction, models_survive_the_dimacs_file_path) {
 std::unique_ptr<substrate::sat_backend> featured_member(unsigned member, int holes) {
     auto b = std::make_unique<substrate::sat_backend>(
         sat::apply_features(substrate::diversified_options(member),
-                            {.reduce = true, .inprocess = true}),
-        "fuzz#" + std::to_string(member));
+                            {.reduce = true, .inprocess = true}));
     sat::encode_pigeonhole(b->solver(), holes);
     return b;
 }
@@ -367,8 +366,7 @@ TEST(feature_composition, exchange_import_bit_survives_reduction) {
     substrate::portfolio_outcome out = substrate::race(
         [](unsigned m) {
             auto b = std::make_unique<substrate::sat_backend>(
-                sat::apply_features(substrate::diversified_options(m), {.reduce = true}),
-                "xchg#" + std::to_string(m));
+                sat::apply_features(substrate::diversified_options(m), {.reduce = true}));
             // Reduce aggressively so learnt DB churn overlaps the exchange.
             sat::solver_options o = b->solver().options();
             o.reduce_first = 100;

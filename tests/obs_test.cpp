@@ -182,7 +182,7 @@ TEST(engine_trace, request_life_appears_as_spans_on_the_engine_track) {
 
     smt::term x = tm.mk_bv_var("x", 8);
     const substrate::backend_result r =
-        substrate::solve_portfolio(engine, {tm.mk_eq(x, tm.mk_bv_const(8, 5))});
+        substrate::solve_single(engine, {tm.mk_eq(x, tm.mk_bv_const(8, 5))});
     EXPECT_EQ(r.ans, substrate::answer::sat);
 
     std::vector<std::string> names;
@@ -201,8 +201,7 @@ TEST(engine_trace, request_life_appears_as_spans_on_the_engine_track) {
 // ---- determinism contract ---------------------------------------------------
 
 std::unique_ptr<substrate::sat_backend> php_member(unsigned member, int holes) {
-    auto b = std::make_unique<substrate::sat_backend>(substrate::diversified_options(member),
-                                                      "php#" + std::to_string(member));
+    auto b = std::make_unique<substrate::sat_backend>(substrate::diversified_options(member));
     encode_pigeonhole(b->solver(), holes);
     return b;
 }

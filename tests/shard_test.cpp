@@ -6,6 +6,7 @@
 #include "gametime/gametime.hpp"
 #include "invgen/invgen.hpp"
 #include "ir/parser.hpp"
+#include "ir/symexec.hpp"
 #include "ir/transform.hpp"
 #include "ogis/benchmarks.hpp"
 #include "sat/pigeonhole.hpp"
@@ -178,15 +179,15 @@ TEST(engine_shard, unsat_matches_plain_check_and_composes_with_cache) {
     smt::term commut = tm.mk_distinct(tm.mk_bvadd(x, y),
                                       tm.mk_bvsub(tm.mk_bvadd(tm.mk_bvadd(y, x), y), y));
 
-    smt_engine engine(tm, {.threads = 2, .shard_depth = 2});
+    smt_engine engine(tm, {.threads = 2});
     shard_stats stats;
-    EXPECT_EQ(solve_sharded(engine, {commut}, &stats).ans, answer::unsat);
+    EXPECT_EQ(solve_sharded(engine, {commut}, 2, &stats).ans, answer::unsat);
     EXPECT_GT(stats.cubes, 0u);
     // The sharded result landed in the cache: the re-check (plain or
     // sharded) is a hit, no new solver runs.
     const auto runs = engine.stats().solver_runs;
-    EXPECT_EQ(solve_portfolio(engine, {commut}).ans, answer::unsat);
-    EXPECT_EQ(solve_sharded(engine, {commut}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(engine, {commut}).ans, answer::unsat);
+    EXPECT_EQ(solve_sharded(engine, {commut}, 2).ans, answer::unsat);
     EXPECT_EQ(engine.stats().solver_runs, runs);
     EXPECT_EQ(engine.stats().cache_hits, 2u);
 }
@@ -197,8 +198,8 @@ TEST(engine_shard, sat_model_valid_under_any_thread_count) {
         smt::term x = tm.mk_bv_var("x", 16);
         smt::term feasible = tm.mk_and(tm.mk_ult(tm.mk_bv_const(16, 10), x),
                                        tm.mk_ult(x, tm.mk_bv_const(16, 100)));
-        smt_engine engine(tm, {.use_cache = false, .threads = threads, .shard_depth = 3});
-        auto result = solve_sharded(engine, {feasible});
+        smt_engine engine(tm, {.use_cache = false, .threads = threads});
+        auto result = solve_sharded(engine, {feasible}, 3);
         ASSERT_TRUE(result.is_sat()) << "threads " << threads;
         EXPECT_EQ(eval_model(tm, feasible, result.model), 1u);
     }
@@ -208,11 +209,11 @@ TEST(engine_shard, depth_zero_degrades_to_plain_check) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 8);
     smt::term q = tm.mk_ult(x, tm.mk_bv_const(8, 5));
-    smt_engine engine(tm);  // shard_depth == 0
-    EXPECT_TRUE(solve_portfolio(engine, {q}).is_sat());
-    // The shard request is a cache hit on the plain solve's entry.
+    smt_engine engine(tm);
+    EXPECT_TRUE(solve_single(engine, {q}).is_sat());
+    // The depth-0 shard request is a cache hit on the plain solve's entry.
     shard_stats stats;
-    EXPECT_TRUE(solve_sharded(engine, {q}, &stats).is_sat());
+    EXPECT_TRUE(solve_sharded(engine, {q}, 0, &stats).is_sat());
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(stats.cubes, 0u);
 }
@@ -226,9 +227,9 @@ TEST(engine_async, future_resolves_and_result_lands_in_cache) {
     smt::term commut = tm.mk_distinct(tm.mk_bvadd(x, y),
                                       tm.mk_bvsub(tm.mk_bvadd(tm.mk_bvadd(y, x), y), y));
     smt_engine engine(tm, {.threads = 2});
-    auto future = submit_portfolio(engine, {commut});
+    auto future = submit_single(engine, {commut});
     EXPECT_EQ(future.get().ans, answer::unsat);
-    EXPECT_EQ(solve_portfolio(engine, {commut}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(engine, {commut}).ans, answer::unsat);
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(engine.stats().solver_runs, 1u);
 }
@@ -244,9 +245,9 @@ TEST(engine_async, inflight_duplicates_coalesce_instead_of_resolving) {
         tm.mk_bvmul(x, tm.mk_bvadd(y, y)),
         tm.mk_bvadd(tm.mk_bvmul(x, y), tm.mk_bvmul(x, y)));
     smt_engine engine(tm, {.threads = 2});
-    auto f1 = submit_portfolio(engine, {hard});
-    auto f2 = submit_portfolio(engine, {hard});
-    auto f3 = submit_portfolio(engine, {hard});
+    auto f1 = submit_single(engine, {hard});
+    auto f2 = submit_single(engine, {hard});
+    auto f3 = submit_single(engine, {hard});
     EXPECT_EQ(f1.get().ans, answer::unsat);
     EXPECT_EQ(f2.get().ans, answer::unsat);
     EXPECT_EQ(f3.get().ans, answer::unsat);
@@ -263,8 +264,8 @@ TEST(engine_async, cache_hit_resolves_immediately) {
     smt::term x = tm.mk_bv_var("x", 8);
     smt::term q = tm.mk_ult(x, tm.mk_bv_const(8, 9));
     smt_engine engine(tm);
-    EXPECT_TRUE(solve_portfolio(engine, {q}).is_sat());
-    auto future = submit_portfolio(engine, {q});
+    EXPECT_TRUE(solve_single(engine, {q}).is_sat());
+    auto future = submit_single(engine, {q});
     EXPECT_TRUE(future.get().is_sat());
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(engine.stats().solver_runs, 1u);
@@ -279,18 +280,18 @@ TEST(query_cache_lru, capacity_bounds_size_and_evicts_least_recently_used) {
         return std::vector<smt::term>{tm.mk_ult(x, tm.mk_bv_const(8, bound))};
     };
     smt_engine engine(tm, {.cache_capacity = 2});
-    EXPECT_TRUE(solve_portfolio(engine, q(10)).is_sat());
-    EXPECT_TRUE(solve_portfolio(engine, q(20)).is_sat());
-    EXPECT_TRUE(solve_portfolio(engine, q(10)).is_sat());  // touch: q10 is now MRU
+    EXPECT_TRUE(solve_single(engine, q(10)).is_sat());
+    EXPECT_TRUE(solve_single(engine, q(20)).is_sat());
+    EXPECT_TRUE(solve_single(engine, q(10)).is_sat());  // touch: q10 is now MRU
     EXPECT_EQ(engine.stats().cache_hits, 1u);
-    EXPECT_TRUE(solve_portfolio(engine, q(30)).is_sat());  // evicts q20 (LRU)
+    EXPECT_TRUE(solve_single(engine, q(30)).is_sat());  // evicts q20 (LRU)
     EXPECT_EQ(engine.cache().size(), 2u);
     EXPECT_EQ(engine.cache().stats().evictions, 1u);
     // q10 stayed resident, q20 was evicted and must re-solve.
-    EXPECT_TRUE(solve_portfolio(engine, q(10)).is_sat());
+    EXPECT_TRUE(solve_single(engine, q(10)).is_sat());
     EXPECT_EQ(engine.stats().cache_hits, 2u);
     const auto runs = engine.stats().solver_runs;
-    EXPECT_TRUE(solve_portfolio(engine, q(20)).is_sat());
+    EXPECT_TRUE(solve_single(engine, q(20)).is_sat());
     EXPECT_EQ(engine.stats().solver_runs, runs + 1);
 }
 
@@ -299,7 +300,7 @@ TEST(query_cache_lru, unbounded_by_default) {
     smt::term x = tm.mk_bv_var("x", 8);
     smt_engine engine(tm);
     for (std::uint64_t i = 0; i < 16; ++i)
-        EXPECT_TRUE(solve_portfolio(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 100 + i))}).is_sat());
+        EXPECT_TRUE(solve_single(engine, {tm.mk_ult(x, tm.mk_bv_const(8, 100 + i))}).is_sat());
     EXPECT_EQ(engine.cache().size(), 16u);
     EXPECT_EQ(engine.cache().stats().evictions, 0u);
 }
@@ -332,28 +333,25 @@ TEST(application_routing, gametime_sharded_wcet_matches_plain) {
     gametime::basis_info basis = gametime::extract_basis_paths(g, basis_engine);
     gametime::sarm_platform platform(p, f);
     gametime::timing_model model = gametime::learn_timing_model(basis, platform);
-
-    // Fresh engines so the WCET feasibility query actually solves (no cache
-    // carry-over from extraction): sharded and plain must agree on the
-    // longest path and its predicted time.
     smt::term_manager tm_plain;
     substrate::smt_engine plain(tm_plain);
     auto expected = gametime::predict_wcet(g, model, plain);
-
-    smt::term_manager tm_shard;
-    substrate::smt_engine sharded(tm_shard, {.threads = 2, .shard_depth = 2});
-    auto got = gametime::predict_wcet(g, model, sharded);
-
     ASSERT_TRUE(expected.has_value());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(expected->longest, got->longest);
-    EXPECT_DOUBLE_EQ(expected->predicted_cycles, got->predicted_cycles);
+
+    // A fresh engine so the feasibility query actually solves (no cache
+    // carry-over): decided as a depth-2 shard, the predicted longest path
+    // is feasible as well.
+    smt::term_manager tm_shard;
+    substrate::smt_engine sharded(tm_shard, {.threads = 2});
+    EXPECT_TRUE(
+        ir::feasible_path_witness_with(g, expected->longest, sharded, strategy::shard(2)));
+    EXPECT_EQ(sharded.stats().dispatched.shard, 1u);
 }
 
 TEST(application_routing, gametime_sharded_wcet_with_sharing_matches_plain) {
-    // Same pipeline as above, but the shard's sibling pairs exchange
-    // core-clean learnt clauses (deterministic discipline). The WCET
-    // verdict must be unchanged — sharing only redistributes proof work.
+    // Same path, but the shard's sibling pairs exchange core-clean learnt
+    // clauses (deterministic discipline). The verdict must be unchanged —
+    // sharing only redistributes proof work.
     ir::program p = ir::parse_program(modexp_src);
     ir::function f = ir::resolve_static_branches(
         ir::unroll_loops(*p.find_function("modexp")), p.width);
@@ -364,25 +362,18 @@ TEST(application_routing, gametime_sharded_wcet_with_sharing_matches_plain) {
     gametime::basis_info basis = gametime::extract_basis_paths(g, basis_engine);
     gametime::sarm_platform platform(p, f);
     gametime::timing_model model = gametime::learn_timing_model(basis, platform);
-
     smt::term_manager tm_plain;
     substrate::smt_engine plain(tm_plain);
     auto expected = gametime::predict_wcet(g, model, plain);
-
-    substrate::engine_config cfg;
-    cfg.threads = 2;
-    cfg.shard_depth = 2;
-    cfg.sharing.enabled = true;
-    cfg.sharing.deterministic = true;
-    cfg.sharing.slice_conflicts = 200;
-    smt::term_manager tm_shared;
-    substrate::smt_engine shared(tm_shared, cfg);
-    auto got = gametime::predict_wcet(g, model, shared);
-
     ASSERT_TRUE(expected.has_value());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(expected->longest, got->longest);
-    EXPECT_DOUBLE_EQ(expected->predicted_cycles, got->predicted_cycles);
+
+    strategy shared_shard = strategy::shard(2);
+    shared_shard.sharing =
+        sharing_config{.enabled = true, .deterministic = true, .slice_conflicts = 200};
+    smt::term_manager tm_shared;
+    substrate::smt_engine shared(tm_shared, {.threads = 2});
+    EXPECT_TRUE(ir::feasible_path_witness_with(g, expected->longest, shared, shared_shard));
+    EXPECT_EQ(shared.stats().dispatched.shard, 1u);
 }
 
 TEST(application_routing, invgen_sharded_step_proof_matches_sequential) {

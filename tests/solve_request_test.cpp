@@ -21,47 +21,40 @@ using sat::encode_pigeonhole;
 
 // ---- strategy resolution ----------------------------------------------------
 
-resolved_strategy engine_like_defaults() {
-    resolved_strategy d;
-    d.members = 3;
-    d.depth = 2;
-    d.probe_candidates = 8;
-    d.sharing.enabled = true;
-    d.use_cache = true;
-    return d;
-}
-
-TEST(strategy_resolution, unset_fields_inherit_defaults) {
-    resolved_strategy r = strategy::portfolio().resolve(engine_like_defaults());
+TEST(strategy_resolution, unset_fields_take_the_library_defaults) {
+    resolved_strategy r = strategy::portfolio().resolve();
     EXPECT_EQ(r.kind, strategy_kind::portfolio);
-    EXPECT_EQ(r.members, 3u);
-    EXPECT_TRUE(r.sharing.enabled);
+    EXPECT_EQ(r.members, 4u);
+    EXPECT_EQ(r.depth, 3u);
+    EXPECT_EQ(r.probe_candidates, 16u);
+    EXPECT_FALSE(r.sharing.enabled);
     EXPECT_TRUE(r.use_cache);
+    EXPECT_EQ(strategy::shard().resolve().kind, strategy_kind::shard);
 }
 
 TEST(strategy_resolution, per_request_fields_override_defaults) {
     strategy s = strategy::portfolio(8);
-    s.sharing = sharing_config{};  // explicitly off
+    s.sharing = sharing_config{.enabled = true};
     s.use_cache = false;
     s.conflict_budget = 123;
-    resolved_strategy r = s.resolve(engine_like_defaults());
+    resolved_strategy r = s.resolve();
     EXPECT_EQ(r.members, 8u);
-    EXPECT_FALSE(r.sharing.enabled);
+    EXPECT_TRUE(r.sharing.enabled);
     EXPECT_FALSE(r.use_cache);
     EXPECT_EQ(r.conflict_budget, 123u);
 }
 
-TEST(strategy_resolution, degenerate_combinations_normalize_like_legacy) {
-    resolved_strategy no_shard;  // engine with shard_depth == 0, 1 member
-    // A shard request against a depth-0 default degrades through the
-    // portfolio resolution down to a single solve.
-    EXPECT_EQ(strategy::shard().resolve(no_shard).kind, strategy_kind::single);
+TEST(strategy_resolution, degenerate_combinations_normalize_to_single) {
+    // A shard of explicit depth 0 has no split variables: a single solve.
+    strategy flat = strategy::shard();
+    flat.depth = 0;
+    EXPECT_EQ(flat.resolve().kind, strategy_kind::single);
     // A 1-member portfolio is a single solve.
-    EXPECT_EQ(strategy::portfolio(1).resolve(no_shard).kind, strategy_kind::single);
-    // Explicit depth keeps the shard kind regardless of the default.
-    EXPECT_EQ(strategy::shard(2).resolve(no_shard).kind, strategy_kind::shard);
-    // automatic keeps its kind (the engine classifies later).
-    EXPECT_EQ(strategy{}.resolve(no_shard).kind, strategy_kind::automatic);
+    EXPECT_EQ(strategy::portfolio(1).resolve().kind, strategy_kind::single);
+    // Explicit depth keeps the shard kind.
+    EXPECT_EQ(strategy::shard(2).resolve().kind, strategy_kind::shard);
+    // automatic keeps its kind (classify picks later).
+    EXPECT_EQ(strategy{}.resolve().kind, strategy_kind::automatic);
 }
 
 // ---- the auto_select classifier --------------------------------------------
@@ -133,15 +126,15 @@ void expect_same_counters(const engine_stats& a, const engine_stats& b) {
     EXPECT_EQ(a.dispatched.total(), b.dispatched.total());
 }
 
-TEST(api_v2, solve_equals_submit_with_engine_default_portfolio) {
+TEST(api_v2, solve_equals_submit_single_strategy) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 16);
     smt::term sat_q = tm.mk_and(tm.mk_ult(tm.mk_bv_const(16, 10), x),
                                 tm.mk_ult(x, tm.mk_bv_const(16, 100)));
     smt_engine via_solve(tm);
     smt_engine via_submit(tm);
-    backend_result a = via_solve.solve({{sat_q}, {}, strategy::portfolio()});
-    backend_result b = via_submit.submit({{sat_q}, {}, strategy::portfolio()}).get();
+    backend_result a = via_solve.solve({{sat_q}, {}, strategy::single()});
+    backend_result b = via_submit.submit({{sat_q}, {}, strategy::single()}).get();
     ASSERT_TRUE(a.is_sat());
     ASSERT_TRUE(b.is_sat());
     EXPECT_EQ(a.status, solve_status::ok);
@@ -151,19 +144,19 @@ TEST(api_v2, solve_equals_submit_with_engine_default_portfolio) {
     EXPECT_EQ(a.conflicts, b.conflicts);
     expect_same_counters(via_solve.stats(), via_submit.stats());
     // Re-solving is a cache hit on both paths.
-    EXPECT_TRUE(via_solve.solve({{sat_q}, {}, strategy::portfolio()}).is_sat());
-    EXPECT_TRUE(via_submit.submit({{sat_q}, {}, strategy::portfolio()}).get().is_sat());
+    EXPECT_TRUE(via_solve.solve({{sat_q}, {}, strategy::single()}).is_sat());
+    EXPECT_TRUE(via_submit.submit({{sat_q}, {}, strategy::single()}).get().is_sat());
     expect_same_counters(via_solve.stats(), via_submit.stats());
 }
 
 TEST(api_v2, solve_equals_submit_shard_strategy) {
     smt::term_manager tm_a;
     smt::term_manager tm_b;
-    smt_engine via_solve(tm_a, {.threads = 2, .shard_depth = 2});
-    smt_engine via_submit(tm_b, {.threads = 2, .shard_depth = 2});
+    smt_engine via_solve(tm_a, {.threads = 2});
+    smt_engine via_submit(tm_b, {.threads = 2});
     shard_stats inline_stats;
-    backend_result a = solve_sharded(via_solve, {unsat_commut(tm_a)}, &inline_stats);
-    query_handle handle = via_submit.submit({{unsat_commut(tm_b)}, {}, strategy::shard()});
+    backend_result a = solve_sharded(via_solve, {unsat_commut(tm_a)}, 2, &inline_stats);
+    query_handle handle = via_submit.submit({{unsat_commut(tm_b)}, {}, strategy::shard(2)});
     backend_result b = handle.get();
     EXPECT_EQ(a.ans, answer::unsat);
     EXPECT_EQ(b.ans, answer::unsat);
@@ -197,10 +190,10 @@ TEST(api_v2, batch_of_singles_equals_submit_many_await_all) {
 TEST(api_v2, awaited_handle_resolves_and_populates_the_cache) {
     smt::term_manager tm;
     smt_engine engine(tm, {.threads = 2});
-    query_handle first = submit_portfolio(engine, {unsat_commut(tm)});
+    query_handle first = submit_single(engine, {unsat_commut(tm)});
     EXPECT_EQ(first.get().ans, answer::unsat);
     // The same query again: a cache hit resolving immediately.
-    query_handle handle = submit_portfolio(engine, {unsat_commut(tm)});
+    query_handle handle = submit_single(engine, {unsat_commut(tm)});
     EXPECT_TRUE(handle.ready());
     EXPECT_EQ(handle.get().ans, answer::unsat);
     EXPECT_TRUE(handle.stats().cache_hit);
@@ -228,14 +221,27 @@ TEST(config_precedence, per_request_cache_bypass_overrides_engine_default) {
     EXPECT_EQ(engine.stats().solver_runs, 3u);
 }
 
-TEST(config_precedence, per_request_members_override_engine_members) {
+TEST(config_precedence, unset_counts_take_the_same_defaults_in_engine_and_solve_cnf) {
+    // The engine half: on a default engine, portfolio() races 4 members
+    // and shard() splits at depth 3 (2^3 cubes).
     smt::term_manager tm;
-    smt_engine engine(tm, {.use_cache = false, .portfolio_members = 1, .threads = 2});
-    query_handle handle = engine.submit({{unsat_commut(tm)}, {}, strategy::portfolio(3)});
-    EXPECT_EQ(handle.get().ans, answer::unsat);
-    EXPECT_EQ(handle.stats().strategy.members, 3u);
-    EXPECT_EQ(engine.stats().solver_runs, 3u);
+    smt_engine engine(tm, {.use_cache = false, .threads = 2});
+    query_handle raced = engine.submit({{unsat_commut(tm)}, {}, strategy::portfolio()});
+    EXPECT_EQ(raced.get().ans, answer::unsat);
+    EXPECT_EQ(raced.stats().strategy.kind, strategy_kind::portfolio);
+    EXPECT_EQ(raced.stats().strategy.members, 4u);
+    EXPECT_EQ(engine.stats().solver_runs, 4u);
+    query_handle split = engine.submit({{unsat_commut(tm)}, {}, strategy::shard()});
+    EXPECT_EQ(split.get().ans, answer::unsat);
+    EXPECT_EQ(split.stats().strategy.kind, strategy_kind::shard);
+    EXPECT_EQ(split.stats().strategy.depth, 3u);
+    EXPECT_GT(split.stats().shard.cubes, 0u);
     EXPECT_EQ(engine.stats().dispatched.portfolio, 1u);
+    EXPECT_EQ(engine.stats().dispatched.shard, 1u);
+    // The CNF half reports the same kinds for the same unset requests.
+    auto build = [](unsigned, sat::solver& s) { encode_pigeonhole(s, 5); };
+    EXPECT_EQ(solve_cnf(build, strategy::portfolio(), 2).executed, strategy_kind::portfolio);
+    EXPECT_EQ(solve_cnf(build, strategy::shard(), 2).executed, strategy_kind::shard);
 }
 
 // ---- the automatic strategy end-to-end --------------------------------------
@@ -334,9 +340,9 @@ void wait_until_started(const query_handle& handle) {
 
 TEST(cancellation, portfolio_cancel_mid_solve_yields_unknown) {
     smt::term_manager tm;
-    smt_engine engine(tm, {.use_cache = false, .portfolio_members = 2, .threads = 2});
+    smt_engine engine(tm, {.use_cache = false, .threads = 2});
     query_handle handle =
-        engine.submit({{hard_distributivity(tm, 8)}, {}, strategy::portfolio()});
+        engine.submit({{hard_distributivity(tm, 8)}, {}, strategy::portfolio(2)});
     wait_until_started(handle);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     handle.cancel();
@@ -463,9 +469,6 @@ TEST(validation, malformed_request_reported_through_status_not_thrown) {
 
 TEST(validation, engine_config_programming_errors_throw) {
     smt::term_manager tm;
-    EXPECT_THROW(smt_engine(tm, {.portfolio_members = 0}), std::invalid_argument);
-    EXPECT_THROW(smt_engine(tm, {.shard_depth = 13}), std::invalid_argument);
-    EXPECT_THROW(smt_engine(tm, {.shard_probe_candidates = 0}), std::invalid_argument);
     // Thrown by the constructor, before the (lazily created) pool exists.
     EXPECT_THROW(smt_engine(tm, {.threads = max_threads + 1}), std::invalid_argument);
 }

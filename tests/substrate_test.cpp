@@ -185,8 +185,7 @@ TEST(solver_options, default_options_are_baseline) {
 /// A small shared CNF family with known answers: pigeonhole (unsat) and a
 /// satisfiable chain of implications.
 std::unique_ptr<sat_backend> make_pigeonhole_backend(unsigned member, int holes) {
-    auto b = std::make_unique<sat_backend>(diversified_options(member),
-                                           "php#" + std::to_string(member));
+    auto b = std::make_unique<sat_backend>(diversified_options(member));
     encode_pigeonhole(b->solver(), holes);
     return b;
 }
@@ -247,13 +246,13 @@ TEST(portfolio, smt_engine_portfolio_matches_single) {
     smt::term feasible = tm.mk_ult(x, tm.mk_bv_const(16, 100));
 
     smt_engine single(tm, {.use_cache = false});
-    smt_engine racing(tm, {.use_cache = false, .portfolio_members = 4, .threads = 4});
+    smt_engine racing(tm, {.use_cache = false, .threads = 4});
 
-    EXPECT_EQ(solve_portfolio(single, {commut}).ans, answer::unsat);
-    EXPECT_EQ(solve_portfolio(racing, {commut}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(single, {commut}).ans, answer::unsat);
+    EXPECT_EQ(racing.solve({{commut}, {}, strategy::portfolio(4)}).ans, answer::unsat);
 
-    auto rs = solve_portfolio(single, {feasible});
-    auto rp = solve_portfolio(racing, {feasible});
+    auto rs = solve_single(single, {feasible});
+    auto rp = racing.solve({{feasible}, {}, strategy::portfolio(4)});
     ASSERT_EQ(rs.ans, answer::sat);
     ASSERT_EQ(rp.ans, answer::sat);
     // Whatever member won, its model satisfies the assertion.
@@ -269,11 +268,11 @@ TEST(query_cache, hit_on_identical_query_set) {
     smt::term b = tm.mk_ult(tm.mk_bv_const(8, 3), x);
 
     smt_engine engine(tm);
-    auto r1 = solve_portfolio(engine, {a, b});
+    auto r1 = solve_single(engine, {a, b});
     EXPECT_EQ(r1.ans, answer::sat);
     EXPECT_EQ(engine.stats().cache_hits, 0u);
     // Same set, different order and a duplicate: still a hit.
-    auto r2 = solve_portfolio(engine, {b, a, a});
+    auto r2 = solve_single(engine, {b, a, a});
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(r2.ans, answer::sat);
     EXPECT_EQ(r2.model, r1.model);  // memoized model, remapped and verified
@@ -287,9 +286,9 @@ TEST(query_cache, growing_the_assertion_set_misses) {
     smt::term b = tm.mk_eq(x, tm.mk_bv_const(8, 200));
 
     smt_engine engine(tm);
-    EXPECT_EQ(solve_portfolio(engine, {a}).ans, answer::sat);
+    EXPECT_EQ(solve_single(engine, {a}).ans, answer::sat);
     // Superset is a distinct query — no stale hit, and the answer flips.
-    EXPECT_EQ(solve_portfolio(engine, {a, b}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(engine, {a, b}).ans, answer::unsat);
     EXPECT_EQ(engine.stats().cache_hits, 0u);
 }
 
@@ -299,11 +298,11 @@ TEST(query_cache, assumptions_key_separately) {
     smt::term a = tm.mk_ult(x, tm.mk_bv_const(8, 10));
 
     smt_engine engine(tm);
-    EXPECT_EQ(solve_portfolio(engine, {a}).ans, answer::sat);
+    EXPECT_EQ(solve_single(engine, {a}).ans, answer::sat);
     // Same formula as assertion vs as assumption: different key.
-    EXPECT_EQ(solve_portfolio(engine, {}, {a}).ans, answer::sat);
+    EXPECT_EQ(solve_single(engine, {}, {a}).ans, answer::sat);
     EXPECT_EQ(engine.stats().cache_hits, 0u);
-    EXPECT_EQ(solve_portfolio(engine, {}, {a}).ans, answer::sat);
+    EXPECT_EQ(solve_single(engine, {}, {a}).ans, answer::sat);
     EXPECT_EQ(engine.stats().cache_hits, 1u);
 }
 
@@ -313,8 +312,8 @@ TEST(query_cache, unsat_results_cache_too) {
     smt::term contradiction = tm.mk_and(tm.mk_ult(x, tm.mk_bv_const(8, 4)),
                                         tm.mk_ult(tm.mk_bv_const(8, 9), x));
     smt_engine engine(tm);
-    EXPECT_EQ(solve_portfolio(engine, {contradiction}).ans, answer::unsat);
-    EXPECT_EQ(solve_portfolio(engine, {contradiction}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(engine, {contradiction}).ans, answer::unsat);
+    EXPECT_EQ(solve_single(engine, {contradiction}).ans, answer::unsat);
     EXPECT_EQ(engine.stats().cache_hits, 1u);
     EXPECT_EQ(engine.stats().solver_runs, 1u);
 }
@@ -324,9 +323,9 @@ TEST(query_cache, clear_invalidates) {
     smt::term x = tm.mk_bv_var("x", 8);
     smt::term a = tm.mk_ult(x, tm.mk_bv_const(8, 10));
     smt_engine engine(tm);
-    solve_portfolio(engine, {a});
+    solve_single(engine, {a});
     engine.cache().clear();
-    solve_portfolio(engine, {a});
+    solve_single(engine, {a});
     EXPECT_EQ(engine.stats().cache_hits, 0u);
     EXPECT_EQ(engine.stats().solver_runs, 2u);
 }

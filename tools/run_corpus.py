@@ -2,7 +2,7 @@
 """Golden scenario-corpus runner for sciduction_run.
 
 Runs every checked-in scenario (corpus/*.cnf, corpus/*.smt2) through the
-sciduction_run driver and enforces three contracts:
+sciduction_run driver and enforces four contracts:
 
   1. Golden diff: the driver's stable output (the `s ` verdict lines —
      models and diagnostics are excluded by design, see the driver header)
@@ -15,6 +15,10 @@ sciduction_run driver and enforces three contracts:
   3. Model verification: the driver self-verifies every sat model by
      evaluation and emits `s MODEL-VERIFIED`; its absence after a sat
      verdict (or a MODEL-INVALID / STATUS-MISMATCH line) is a failure.
+  4. Kind check: a single / portfolio / shard spec (feature suffixes
+     included) must report that kind on the driver's `c strategy=` line,
+     so a strategy the driver silently degrades fails. `auto` is exempt
+     (the classifier picks), and so is a cache hit, where nothing ran.
 
 Usage:
   tools/run_corpus.py [--driver build/sciduction_run] [--corpus corpus]
@@ -53,6 +57,7 @@ def stable_lines(stdout: str) -> list[str]:
 
 
 FEATURE_FLAGS = {"reduce": "--reduce", "inprocess": "--inprocess"}
+CONCRETE_KINDS = ("single", "portfolio", "shard")
 
 
 def parse_spec(spec: str) -> tuple[str, list[str]]:
@@ -77,6 +82,21 @@ def run_driver(driver: Path, scenario: Path, spec: str, cache: str | None,
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     elapsed = time.monotonic() - start
     return stable_lines(proc.stdout), proc.stdout, elapsed
+
+
+def kind_mismatch(spec: str, stdout: str) -> str | None:
+    """The kind a concrete-strategy run reported instead of the one its
+    spec asked for, or None when the run passes the kind check."""
+    base, _ = parse_spec(spec)
+    if base not in CONCRETE_KINDS:
+        return None
+    for line in stdout.splitlines():
+        if line.startswith("c strategy="):
+            fields = dict(f.split("=", 1) for f in line[2:].split() if "=" in f)
+            if fields.get("cache_hit", "0") != "0" or fields["strategy"] == base:
+                return None
+            return fields["strategy"]
+    return "(none)"
 
 
 def main() -> int:
@@ -134,6 +154,7 @@ def main() -> int:
                           f"       expected: {want}\n       got:      {got}")
                     record["ok"] = False
 
+        runs = [(canonical, full)]
         verdict = got[0] if got else "s MISSING"
         if verdict.startswith("s SATISFIABLE") and "s MODEL-VERIFIED" not in got:
             print(f"FAIL   {scenario.name}: sat verdict without model verification: {got}")
@@ -144,7 +165,8 @@ def main() -> int:
 
         # Differential pass: every other strategy must reach the same verdict.
         for strategy in strategies[1:]:
-            alt, _, alt_elapsed = run_driver(driver, scenario, strategy, args.cache, [])
+            alt, alt_full, alt_elapsed = run_driver(driver, scenario, strategy, args.cache, [])
+            runs.append((strategy, alt_full))
             record["strategies"][strategy] = {"s_lines": alt,
                                               "seconds": round(alt_elapsed, 3)}
             alt_verdict = alt[0] if alt else "s MISSING"
@@ -154,6 +176,12 @@ def main() -> int:
                 record["ok"] = False
             if alt_verdict.startswith("s SATISFIABLE") and "s MODEL-VERIFIED" not in alt:
                 print(f"FAIL   {scenario.name}: {strategy} sat model unverified: {alt}")
+                record["ok"] = False
+
+        for spec, stdout in runs:
+            ran = kind_mismatch(spec, stdout)
+            if ran is not None:
+                print(f"FAIL   {scenario.name}: strategy {spec} ran as {ran}")
                 record["ok"] = False
 
         if record["ok"] and not args.regen:

@@ -15,7 +15,8 @@
 //   * `v ...` lines carry the model (strategy-dependent: different winners
 //     find different models) — excluded from golden diffs.
 //   * `c ...` lines are diagnostics (file, strategy, conflicts, cache
-//     counters) — also excluded.
+//     counters) — also excluded from golden diffs; run_corpus.py checks
+//     that `c strategy=<kind>` names the kind the spec asked for.
 // Exit codes: 10 sat, 20 unsat, 30 unknown, 0 parsed-but-nothing-to-decide,
 // 1 malformed input or usage error (including --threads above
 // substrate::max_threads), 2 model verification failure, 3 the verdict
@@ -294,8 +295,16 @@ int run_smtlib2(const options& opt, const substrate::strategy& strat) {
         res = engine.solve(std::move(req));
     }
 
+    // The kind the engine dispatched; a cache hit dispatches nothing and
+    // reports `single`, as the CNF path does.
     const auto stats = engine.stats();
-    std::cout << "c conflicts=" << res.conflicts << " solver_runs=" << stats.solver_runs << "\n";
+    using substrate::strategy_kind;
+    const strategy_kind ran = stats.dispatched.portfolio > 0 ? strategy_kind::portfolio
+                              : stats.dispatched.shard > 0   ? strategy_kind::shard
+                                                             : strategy_kind::single;
+    std::cout << "c strategy=" << substrate::to_string(ran) << " conflicts=" << res.conflicts
+              << " solver_runs=" << stats.solver_runs << " cache_hit=" << stats.cache_hits
+              << "\n";
     if (!opt.cache_path.empty()) {
         std::cout << "c cache hits=" << stats.cache_hits
                   << " persisted_loads=" << stats.persisted_loads << "\n";
