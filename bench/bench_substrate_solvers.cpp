@@ -496,11 +496,11 @@ void BM_smt_engine_auto_strategy(benchmark::State& state) {
         // classifier into its portfolio and shard regimes.
         std::vector<smt::term> wide;
         for (int i = 0; i < 220; ++i)
-            wide.push_back(tm.mk_eq(tm.mk_bv_var("w" + std::to_string(i), 16),
+            wide.push_back(tm.mk_eq(tm.mk_bv_var(std::string("w").append(std::to_string(i)), 16),
                                     tm.mk_bv_const(16, 7 * i + 1)));
         std::vector<smt::term> huge;
         for (int i = 0; i < 1600; ++i)
-            huge.push_back(tm.mk_eq(tm.mk_bv_var("h" + std::to_string(i), 16),
+            huge.push_back(tm.mk_eq(tm.mk_bv_var(std::string("h").append(std::to_string(i)), 16),
                                     tm.mk_bv_const(16, 5 * i + 3)));
         if (!engine.submit(tiny).get().is_sat()) state.SkipWithError("must be sat");
         if (!engine.submit(medium).get().is_sat()) state.SkipWithError("must be sat");
@@ -530,9 +530,10 @@ BENCHMARK(BM_smt_engine_auto_strategy)->Unit(benchmark::kMillisecond);
 // the CI warm-cache step drives it — answers from disk with zero solver
 // runs, via structurally remapped, evaluation-verified models (the
 // variable names differ per iteration on purpose). Counters (per
-// iteration): solver_runs, cache_hits, remapped_models, persisted_loads —
-// the JSON artifact's warm-vs-cold evidence is persisted_loads > 0 and
-// solver_runs ~ 0 on the second run.
+// iteration): solver_runs and cache_hits from the engine; remapped_models,
+// remap_rejects and persisted_loads from the cache — the JSON artifact's
+// warm-vs-cold evidence is persisted_loads > 0, solver_runs ~ 0 and
+// remap_rejects == 0 on the second run.
 // Set SCIDUCTION_BENCH_CACHE_PATH to persist across runs (CI does);
 // otherwise a scratch file is used and removed.
 void BM_smt_engine_persistent_cache(benchmark::State& state) {
@@ -544,6 +545,7 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
     std::uint64_t solver_runs = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t remapped = 0;
+    std::uint64_t rejects = 0;
     std::uint64_t persisted = 0;
     std::uint64_t iteration = 0;
     for (auto _ : state) {
@@ -566,13 +568,16 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
         auto stats = engine.stats();
         solver_runs += stats.solver_runs;
         cache_hits += stats.cache_hits;
-        remapped += stats.remapped_models;
-        persisted += stats.persisted_loads;
+        auto cs = engine.cache().stats();
+        remapped += cs.remapped_models;
+        rejects += cs.remap_rejects;
+        persisted += cs.persisted_loads;
     }
     const auto iters = static_cast<double>(state.iterations());
     state.counters["solver_runs"] = benchmark::Counter(static_cast<double>(solver_runs) / iters);
     state.counters["cache_hits"] = benchmark::Counter(static_cast<double>(cache_hits) / iters);
     state.counters["remapped_models"] = benchmark::Counter(static_cast<double>(remapped) / iters);
+    state.counters["remap_rejects"] = benchmark::Counter(static_cast<double>(rejects) / iters);
     state.counters["persisted_loads"] = benchmark::Counter(static_cast<double>(persisted) / iters);
     if (env_path == nullptr) std::remove(path.c_str());
 }

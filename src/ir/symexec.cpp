@@ -166,7 +166,9 @@ std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, co
 std::optional<std::vector<std::uint64_t>> feasible_path_witness_with(
     const cfg& g, const path& p, substrate::smt_engine& engine, substrate::strategy strat) {
     path_encoding enc = encode_path(g, p, engine.manager());
-    auto result = engine.submit({{enc.path_condition}, {}, std::move(strat)}).get();
+    // solve, not submit: a `single` check runs on the calling thread, so a
+    // transient engine never starts a pool for it.
+    auto result = engine.solve({{enc.path_condition}, {}, std::move(strat)});
     if (!result.is_sat()) return std::nullopt;
     substrate::model_evaluator eval(engine.manager(), std::move(result.model));
     std::vector<std::uint64_t> args;

@@ -32,9 +32,10 @@ path_encoding encode_path(const cfg& g, const path& p, smt::term_manager& tm);
 
 /// Convenience wrapper: decide feasibility of a path and, if feasible,
 /// return the argument tuple driving execution down it. The term_manager
-/// overload runs a transient uncached engine; the engine overload submits
-/// a single solve to the caller's engine, so repeated feasibility queries
-/// — e.g. GameTime re-checking the predicted longest path — hit its cache.
+/// overload runs a transient uncached engine; the engine overload decides
+/// a single solve through the caller's engine on the calling thread, so
+/// repeated feasibility queries — e.g. GameTime re-checking the predicted
+/// longest path — hit its cache.
 std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, const path& p,
                                                                 smt::term_manager& tm);
 std::optional<std::vector<std::uint64_t>> feasible_path_witness(const cfg& g, const path& p,

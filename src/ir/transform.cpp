@@ -89,7 +89,7 @@ private:
                                          "' has an early return");
 
         active_.insert(call.callee);
-        const std::string suffix = "$" + std::to_string(counter_++);
+        const std::string suffix = std::string("$").append(std::to_string(counter_++));
         std::unordered_map<std::string, std::string> ren;
         for (const auto& pname : callee->params) ren[pname] = pname + suffix;
         std::unordered_set<std::string> locals;

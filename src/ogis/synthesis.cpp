@@ -141,7 +141,7 @@ public:
         std::vector<term> ins;
         for (unsigned i = 0; i < cfg_.num_inputs; ++i)
             ins.push_back(tm_.mk_bv_const(cfg_.width, example.first[i]));
-        execution exec = encode_execution("e" + std::to_string(index), ins);
+        execution exec = encode_execution(std::string("e").append(std::to_string(index)), ins);
         std::vector<term> cs{exec.constraint};
         for (unsigned k = 0; k < cfg_.num_outputs; ++k)
             cs.push_back(tm_.mk_eq(exec.outputs[k],

@@ -475,8 +475,8 @@ std::uint64_t term_manager::evaluate_under(term t, const env& e, bool complete) 
 std::string term_manager::to_string(term t) const {
     const node& n = at(t);
     auto binop = [&](const char* op) {
-        return "(" + std::string(op) + " " + to_string(n.kids[0]) + " " + to_string(n.kids[1]) +
-               ")";
+        return std::string("(").append(op).append(" ").append(to_string(n.kids[0])).append(" ")
+                   .append(to_string(n.kids[1])).append(")");
     };
     switch (n.k) {
         case kind::const_bool: return n.payload != 0 ? "true" : "false";

@@ -156,7 +156,7 @@ smt_engine::smt_engine(smt::term_manager& tm, engine_config cfg)
       cfg_(std::move(cfg)),
       cache_(cfg_.shared_cache
                  ? cfg_.shared_cache
-                 : std::make_shared<query_cache>(tm, cfg_.cache_capacity, cfg_.cache_path)) {
+                 : std::make_shared<query_cache>(cfg_.cache_path, cfg_.cache_capacity)) {
     // Misconfiguring an engine is a programming error (unlike a malformed
     // request, which submit reports through solve_status::malformed).
     if (std::string err = cfg_.validate(); !err.empty())
@@ -168,18 +168,8 @@ smt_engine::smt_engine(smt::term_manager& tm, engine_config cfg)
 }
 
 engine_stats smt_engine::stats() const {
-    engine_stats s;
-    {
-        sd::lock_guard lock(stats_mutex_);
-        s = stats_;
-    }
-    // The cache-side counters are mirrored here so one stats() snapshot
-    // tells the whole warm-start story (for a shared cache they aggregate
-    // over every engine sharing it).
-    query_cache::cache_stats cs = cache_->stats();
-    s.remapped_models = cs.remapped_models;
-    s.persisted_loads = cs.persisted_loads;
-    return s;
+    sd::lock_guard lock(stats_mutex_);
+    return stats_;
 }
 
 thread_pool& smt_engine::pool() {
@@ -288,7 +278,6 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
                                             const query_cache::prepared_query& prep,
                                             detail::query_state& state,
                                             engine_session* session) {
-    const query_key& key = prep.key;
     state.started.store(true, std::memory_order_relaxed);
     // One span per executed solve (cache hits never reach here); closed by
     // the destructor after the completion protocol ran.
@@ -304,7 +293,7 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
         }
         solve_span.arg("strategy", static_cast<std::uint64_t>(ran.kind));
         solve_span.arg("conflicts", result.conflicts);
-        if (ran.use_cache) cache_->insert_prepared(tm_, prep, result);
+        if (ran.use_cache) cache_->insert_prepared(prep, result);
     } catch (const std::exception& e) {
         // The regular error model: a failure inside the solve is serialized
         // as a solve_status::internal result, never rethrown into the
@@ -328,7 +317,7 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
     // locked re-check relies on that order).
     {
         sd::lock_guard ilock(inflight_mutex_);
-        inflight_.erase(key);
+        inflight_.erase(prep.key);
     }
     state.finished.store(true, std::memory_order_relaxed);
     if (session != nullptr) session->note_completed(result);

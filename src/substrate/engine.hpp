@@ -110,20 +110,15 @@ struct strategy_picks {
     void count(strategy_kind k);
 };
 
-/// Engine-level counters, cumulative over the engine's lifetime. The last
-/// two mirror the cache's own counters (query_cache::cache_stats) — for
-/// an engine on a shared cache they therefore aggregate over every engine
-/// sharing it.
+/// Engine-level counters, cumulative over the engine's lifetime. The
+/// cache's own counters (remapped models, warm-start loads, rejects) are
+/// read from `cache().stats()`; for a shared cache they aggregate over
+/// every engine sharing it.
 struct engine_stats {
     std::uint64_t queries = 0;      ///< submits
     std::uint64_t cache_hits = 0;   ///< queries answered from the query cache
     std::uint64_t solver_runs = 0;  ///< backends actually constructed+checked
     std::uint64_t coalesced = 0;    ///< submits joined to an in-flight duplicate
-    /// Satisfying models remapped into the requesting manager's terms and
-    /// verified by evaluation (every sat cache hit).
-    std::uint64_t remapped_models = 0;
-    /// Entries the cache loaded from its persistence file (warm starts).
-    std::uint64_t persisted_loads = 0;
     strategy_picks dispatched;      ///< executed strategies, by concrete kind
     strategy_picks auto_picks;      ///< the subset chosen by strategy::auto_select
 };
@@ -304,7 +299,8 @@ public:
     /// The configuration the engine was built with.
     [[nodiscard]] const engine_config& config() const { return cfg_; }
     /// The structural query cache (shared by all strategies; possibly
-    /// shared with other engines via engine_config::shared_cache).
+    /// shared with other engines via engine_config::shared_cache). Its
+    /// stats() carry the remap and warm-start counters.
     [[nodiscard]] query_cache& cache() { return *cache_; }
     /// Snapshot of the engine counters (thread-safe).
     [[nodiscard]] engine_stats stats() const;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 
 namespace sciduction::substrate {
 
@@ -138,16 +137,8 @@ cnf_fingerprint cnf_fingerprint::of(const sat::solver& s) {
 
 // ---- construction / destruction ---------------------------------------------
 
-query_cache::query_cache(smt::term_manager& tm, std::size_t capacity, std::string path)
-    : tm_(&tm), capacity_(capacity), path_(std::move(path)) {
-    if (!path_.empty()) {
-        sd::lock_guard lock(mutex_);
-        load_locked();
-    }
-}
-
 query_cache::query_cache(std::string path, std::size_t capacity)
-    : tm_(nullptr), capacity_(capacity), path_(std::move(path)) {
+    : capacity_(capacity), path_(std::move(path)) {
     if (!path_.empty()) {
         sd::lock_guard lock(mutex_);
         load_locked();
@@ -160,19 +151,13 @@ query_cache::~query_cache() {
     save_locked();
 }
 
-smt::term_manager& query_cache::default_manager() const {
-    if (tm_ == nullptr)
-        throw std::logic_error("query_cache: term-level call on a manager-less cache");
-    return *tm_;
-}
-
 // ---- canonicalization -------------------------------------------------------
 
-std::size_t query_cache::id_key_hash::operator()(const id_key& k) const {
+std::size_t query_key_hash::operator()(const query_key& k) const {
     std::uint64_t h = 0x243f6a8885a308d3ULL;
-    for (std::uint32_t id : k.assertions) h = mix(h, id);
+    for (std::uint32_t id : k.assertion_ids) h = mix(h, id);
     h = mix(h, 0xa55e7a55e7a55e77ULL);
-    for (std::uint32_t id : k.assumptions) h = mix(h, id);
+    for (std::uint32_t id : k.assumption_ids) h = mix(h, id);
     return static_cast<std::size_t>(h);
 }
 
@@ -239,16 +224,16 @@ std::uint64_t query_cache::shape_hash(manager_state& ms, smt::term_manager& tm, 
     return ms.shape.at(t.id);
 }
 
-std::shared_ptr<const query_cache::prepared_query> query_cache::prepare_locked(
+std::shared_ptr<const query_cache::prepared_query> query_cache::prepare(
     smt::term_manager& tm, const std::vector<smt::term>& assertions,
     const std::vector<smt::term>& assumptions) {
+    sd::lock_guard lock(mutex_);
     manager_state& ms = state_for(tm);
-    id_key ik{sorted_unique_ids(assertions), sorted_unique_ids(assumptions)};
-    if (auto it = ms.forms.find(ik); it != ms.forms.end()) return it->second;
+    query_key key{sorted_unique_ids(assertions), sorted_unique_ids(assumptions)};
+    if (auto it = ms.forms.find(key); it != ms.forms.end()) return it->second;
 
     prepared_query out;
-    out.key.assertion_ids = ik.assertions;
-    out.key.assumption_ids = ik.assumptions;
+    out.key = key;
 
     // Canonical root order: shape hash first, construction (id) order on
     // ties. The tie-break is per-manager and therefore best-effort for
@@ -342,39 +327,11 @@ std::shared_ptr<const query_cache::prepared_query> query_cache::prepare_locked(
     form.assumptions = root_indices(assumption_roots);
     form.num_vars = static_cast<std::uint32_t>(out.vars.size());
     form.hash = form_hash(form);
-    out.key.hash = form.hash;
 
     auto prepared = std::make_shared<const prepared_query>(std::move(out));
     if (ms.forms.size() >= 4096) ms.forms.clear();  // bound the memo
-    ms.forms.emplace(std::move(ik), prepared);
+    ms.forms.emplace(std::move(key), prepared);
     return prepared;
-}
-
-std::shared_ptr<const query_cache::prepared_query> query_cache::prepare(
-    smt::term_manager& tm, const std::vector<smt::term>& assertions,
-    const std::vector<smt::term>& assumptions) {
-    sd::lock_guard lock(mutex_);
-    return prepare_locked(tm, assertions, assumptions);
-}
-
-std::uint64_t query_cache::structural_hash(smt::term t) {
-    smt::term_manager& tm = default_manager();
-    sd::lock_guard lock(mutex_);
-    return prepare_locked(tm, {t}, {})->form.hash;
-}
-
-structural_form query_cache::form_of(smt::term_manager& tm,
-                                     const std::vector<smt::term>& assertions,
-                                     const std::vector<smt::term>& assumptions) {
-    sd::lock_guard lock(mutex_);
-    return prepare_locked(tm, assertions, assumptions)->form;
-}
-
-query_key query_cache::key_for(const std::vector<smt::term>& assertions,
-                               const std::vector<smt::term>& assumptions) {
-    smt::term_manager& tm = default_manager();
-    sd::lock_guard lock(mutex_);
-    return prepare_locked(tm, assertions, assumptions)->key;
 }
 
 // ---- lookup / insert --------------------------------------------------------
@@ -389,8 +346,9 @@ void query_cache::touch_cnf(cnf_entry& e) {
     e.lru_pos = cnf_lru_.begin();
 }
 
-std::optional<backend_result> query_cache::lookup_locked(smt::term_manager& tm,
-                                                         const prepared_query& prep) {
+std::optional<backend_result> query_cache::lookup_prepared(smt::term_manager& tm,
+                                                           const prepared_query& prep) {
+    sd::lock_guard lock(mutex_);
     auto it = entries_.find(prep.form);
     if (it == entries_.end()) {
         ++stats_.misses;
@@ -441,25 +399,7 @@ std::optional<backend_result> query_cache::lookup_locked(smt::term_manager& tm,
     return r;
 }
 
-std::optional<backend_result> query_cache::lookup_prepared(smt::term_manager& tm,
-                                                           const prepared_query& prep) {
-    sd::lock_guard lock(mutex_);
-    return lookup_locked(tm, prep);
-}
-
-std::optional<backend_result> query_cache::lookup_in(smt::term_manager& tm,
-                                                     const std::vector<smt::term>& assertions,
-                                                     const std::vector<smt::term>& assumptions) {
-    sd::lock_guard lock(mutex_);
-    return lookup_locked(tm, *prepare_locked(tm, assertions, assumptions));
-}
-
-std::optional<backend_result> query_cache::lookup(const std::vector<smt::term>& assertions,
-                                                  const std::vector<smt::term>& assumptions) {
-    return lookup_in(default_manager(), assertions, assumptions);
-}
-
-void query_cache::insert_locked(const prepared_query& prep, const backend_result& result) {
+void query_cache::insert_prepared(const prepared_query& prep, const backend_result& result) {
     if (result.ans == answer::unknown) return;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> model;
     if (result.ans == answer::sat) {
@@ -470,6 +410,7 @@ void query_cache::insert_locked(const prepared_query& prep, const backend_result
         }
     }
 
+    sd::lock_guard lock(mutex_);
     auto it = entries_.find(prep.form);
     if (it != entries_.end()) {
         // Refresh in place: the caller just solved this query, so its result
@@ -492,27 +433,6 @@ void query_cache::insert_locked(const prepared_query& prep, const backend_result
     entries_.emplace(prep.form, std::move(e));
     ++stats_.insertions;
     evict_over_capacity(entries_, lru_, capacity_, stats_.evictions);
-}
-
-void query_cache::insert_prepared(smt::term_manager& tm, const prepared_query& prep,
-                                  const backend_result& result) {
-    (void)tm;  // symmetry with lookup_prepared; the prep already binds the manager
-    sd::lock_guard lock(mutex_);
-    insert_locked(prep, result);
-}
-
-void query_cache::insert_in(smt::term_manager& tm, const std::vector<smt::term>& assertions,
-                            const std::vector<smt::term>& assumptions,
-                            const backend_result& result) {
-    if (result.ans == answer::unknown) return;
-    sd::lock_guard lock(mutex_);
-    insert_locked(*prepare_locked(tm, assertions, assumptions), result);
-}
-
-void query_cache::insert(const std::vector<smt::term>& assertions,
-                         const std::vector<smt::term>& assumptions,
-                         const backend_result& result) {
-    insert_in(default_manager(), assertions, assumptions, result);
 }
 
 // ---- CNF level --------------------------------------------------------------
@@ -592,11 +512,6 @@ std::size_t query_cache::cnf_size() const {
 bool query_cache::save() {
     sd::lock_guard lock(mutex_);
     return save_locked();
-}
-
-bool query_cache::load() {
-    sd::lock_guard lock(mutex_);
-    return load_locked();
 }
 
 bool query_cache::save_locked() const {

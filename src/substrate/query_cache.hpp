@@ -62,24 +62,23 @@
 
 namespace sciduction::substrate {
 
-/// The per-manager identity of a query: sorted, deduplicated term ids plus
-/// the canonical structural hash. Exposed so the engine's async layer can
-/// coalesce in-flight duplicates on exactly the cache's notion of "same
-/// query" (ids are manager-local, which is what coalescing wants — two
-/// renamed-variable queries are distinct solves but share cache entries).
+/// The per-manager identity of a query: its sorted, deduplicated term-id
+/// sets. Ids are manager-local, which is what both users want: the cache
+/// memoizes prepared queries per (manager, query_key), and the engine's
+/// async layer coalesces in-flight duplicates on it (two renamed-variable
+/// queries are distinct solves but share cache entries).
 struct query_key {
-    std::uint64_t hash = 0;                      ///< canonical structural hash
     std::vector<std::uint32_t> assertion_ids;    ///< sorted, deduplicated term ids
     std::vector<std::uint32_t> assumption_ids;   ///< sorted, deduplicated term ids
 
-    /// Field-wise equality (hash plus both id sets).
+    /// Equality of both id sets.
     bool operator==(const query_key&) const = default;
 };
 
 /// Hash functor over query_key for unordered containers.
 struct query_key_hash {
-    /// Uses the precomputed structural hash.
-    std::size_t operator()(const query_key& k) const { return static_cast<std::size_t>(k.hash); }
+    /// Mixes both id sets.
+    std::size_t operator()(const query_key& k) const;
 };
 
 /// One node of a canonical query form: a term with its variables replaced
@@ -176,35 +175,28 @@ public:
         /// treated as misses (the caller re-solves). Nonzero values point
         /// at a corrupt persistence file or a hash-colliding entry.
         std::uint64_t remap_rejects = 0;
-        /// Entries loaded from the persistence file at construction /
-        /// load().
+        /// Entries loaded from the persistence file at construction.
         std::uint64_t persisted_loads = 0;
         /// Records in the persistence file skipped as corrupt (checksum or
         /// framing failure). The rest of the file still loads.
         std::uint64_t persist_rejects = 0;
     };
 
-    /// A query canonicalized once, reusable for key_for/lookup/insert
-    /// without re-walking the term DAG. Valid only for the manager it was
-    /// prepared against.
+    /// A query canonicalized once, reusable for lookup_prepared and
+    /// insert_prepared without re-walking the term DAG. Valid only for the
+    /// manager it was prepared against.
     struct prepared_query {
-        query_key key;                ///< per-manager identity (coalescing key)
+        query_key key;                ///< per-manager identity (memo and coalescing key)
         structural_form form;         ///< canonical cross-manager identity
         std::vector<smt::term> vars;  ///< de Bruijn index -> this manager's variable term
     };
 
-    /// Binds the cache's *default* manager (used by the term-level
-    /// overloads that do not name one; `_in` variants accept any manager).
-    /// `capacity` bounds the number of retained results per level; 0 =
-    /// unbounded. Past the bound the least-recently-used entry is evicted,
-    /// so long CEGIS runs stop growing while hot re-checks stay resident.
     /// A non-empty `path` enables persistence: the file is loaded now and
-    /// saved on destruction.
-    explicit query_cache(smt::term_manager& tm, std::size_t capacity = 0, std::string path = {});
-
-    /// Manager-less construction for CNF-level use (or for a shared cache
-    /// whose users always call the `_in` overloads). Term-level calls that
-    /// rely on the default manager throw std::logic_error.
+    /// saved on destruction. `capacity` bounds the number of retained
+    /// results per level; 0 = unbounded. Past the bound the
+    /// least-recently-used entry is evicted, so long CEGIS runs stop
+    /// growing while hot re-checks stay resident. The cache binds no
+    /// manager: every term-level call names the one its query lives in.
     explicit query_cache(std::string path, std::size_t capacity = 0);
 
     /// Saves to `path()` (if set) and drops the cache. Save failures are
@@ -223,40 +215,24 @@ public:
     /// the structural form and the variable table in one DAG walk. The
     /// engine prepares once per submit and passes the result to
     /// lookup_prepared/insert_prepared. Prepared queries are memoized per
-    /// (manager uid, sorted term-id sets) — sound because terms are
-    /// immutable and manager identity is exact — so a loop re-issuing the
-    /// same query pays the DAG walk once.
+    /// (manager uid, query_key) — sound because terms are immutable and
+    /// manager identity is exact — so a loop re-issuing the same query
+    /// pays the DAG walk once.
     std::shared_ptr<const prepared_query> prepare(smt::term_manager& tm,
                                                   const std::vector<smt::term>& assertions,
                                                   const std::vector<smt::term>& assumptions = {});
 
-    /// Returns the memoized result for this (assertion set, assumption
-    /// set) against the default manager, or nullopt. A sat hit arrives with
-    /// its model remapped into this manager's terms and verified by
-    /// evaluation; a verification failure reads as a miss. Counted in
-    /// stats().
-    std::optional<backend_result> lookup(const std::vector<smt::term>& assertions,
-                                         const std::vector<smt::term>& assumptions = {});
-    /// lookup() against an explicit manager.
-    std::optional<backend_result> lookup_in(smt::term_manager& tm,
-                                            const std::vector<smt::term>& assertions,
-                                            const std::vector<smt::term>& assumptions = {});
-    /// lookup() over an already-prepared query (one canonicalization per
-    /// submit; `prep` must have been prepared against `tm`).
+    /// Returns the memoized result for a prepared query (`prep` must have
+    /// been prepared against `tm`), or nullopt. A sat hit arrives with its
+    /// model remapped into `tm`'s terms and verified by evaluation; a
+    /// verification failure reads as a miss. Counted in stats().
     std::optional<backend_result> lookup_prepared(smt::term_manager& tm,
                                                   const prepared_query& prep);
 
-    /// Memoizes a definite result against the default manager, refreshing
-    /// a resident entry in place. answer::unknown (interrupted) results are
+    /// Memoizes a definite result for a prepared query, refreshing a
+    /// resident entry in place. answer::unknown (interrupted) results are
     /// ignored — they say nothing about the query.
-    void insert(const std::vector<smt::term>& assertions,
-                const std::vector<smt::term>& assumptions, const backend_result& result);
-    /// insert() against an explicit manager.
-    void insert_in(smt::term_manager& tm, const std::vector<smt::term>& assertions,
-                   const std::vector<smt::term>& assumptions, const backend_result& result);
-    /// insert() over an already-prepared query.
-    void insert_prepared(smt::term_manager& tm, const prepared_query& prep,
-                         const backend_result& result);
+    void insert_prepared(const prepared_query& prep, const backend_result& result);
 
     /// Returns the memoized CNF-level result for `fp`, or nullopt. The
     /// returned result carries the answer, conflicts, and (for sat) the
@@ -277,32 +253,11 @@ public:
     /// Number of CNF-level results currently retained.
     [[nodiscard]] std::size_t cnf_size() const;
 
-    /// Canonical structural hash of a single term against the default
-    /// manager: alpha-invariant (variables are numbered, not named) and
-    /// commutative-operand sorted. Exposed for tests and derived keys.
-    std::uint64_t structural_hash(smt::term t);
-
-    /// Canonical form of a query against an explicit manager (exposed for
-    /// the structural-equality tests; equal forms == cacheable as equal).
-    structural_form form_of(smt::term_manager& tm, const std::vector<smt::term>& assertions,
-                            const std::vector<smt::term>& assumptions = {});
-
-    /// Canonical key of a query against the default manager — what the
-    /// engine's async layer coalesces in-flight duplicates on.
-    query_key key_for(const std::vector<smt::term>& assertions,
-                      const std::vector<smt::term>& assumptions);
-
     /// Writes every resident entry to `path()` (atomically, via a temp
     /// file + rename), least-recently-used first so a later load restores
     /// the recency order. Returns false when no path is set or the write
     /// failed.
     bool save();
-    /// Loads (merges) entries from `path()`. Existing entries win over
-    /// file entries with the same key. Returns false when no path is set
-    /// or the file was missing/unreadable/version-mismatched; individual
-    /// corrupt records are skipped and counted in
-    /// cache_stats::persist_rejects.
-    bool load();
 
 private:
     // A retained term-level result in structural coordinates; every hit
@@ -321,47 +276,29 @@ private:
         std::list<cnf_fingerprint>::iterator lru_pos;
     };
 
-    // The per-manager memo key for prepared queries: the sorted,
-    // deduplicated term-id sets of a query (what make_key derives before
-    // any canonicalization).
-    struct id_key {
-        std::vector<std::uint32_t> assertions;
-        std::vector<std::uint32_t> assumptions;
-        bool operator==(const id_key&) const = default;
-    };
-    struct id_key_hash {
-        std::size_t operator()(const id_key& k) const;
-    };
-
     // Per-manager canonicalization scratch, keyed by term_manager::uid()
     // (process-unique, so a new manager reusing a dead one's address can
     // never see its predecessor's state): memoized shape hashes (the
     // name-free bottom-up hash that orders roots and commutative
-    // operands) and fully prepared queries per id set — terms are
+    // operands) and fully prepared queries per query_key — terms are
     // immutable, so both memos stay valid for the manager's lifetime.
     struct manager_state {
         std::unordered_map<std::uint32_t, std::uint64_t> shape;  // term id -> shape hash
-        std::unordered_map<id_key, std::shared_ptr<const prepared_query>, id_key_hash> forms;
+        std::unordered_map<query_key, std::shared_ptr<const prepared_query>, query_key_hash>
+            forms;
         std::uint64_t last_used = 0;  // manager_clock_ stamp for LRU eviction
     };
 
-    std::shared_ptr<const prepared_query> prepare_locked(
-        smt::term_manager& tm, const std::vector<smt::term>& assertions,
-        const std::vector<smt::term>& assumptions) SD_REQUIRES(mutex_);
-    std::optional<backend_result> lookup_locked(smt::term_manager& tm, const prepared_query& prep)
-        SD_REQUIRES(mutex_);
-    void insert_locked(const prepared_query& prep, const backend_result& result)
-        SD_REQUIRES(mutex_);
     manager_state& state_for(smt::term_manager& tm) SD_REQUIRES(mutex_);
     std::uint64_t shape_hash(manager_state& ms, smt::term_manager& tm, smt::term t)
         SD_REQUIRES(mutex_);
     void touch(entry& e) SD_REQUIRES(mutex_);
     void touch_cnf(cnf_entry& e) SD_REQUIRES(mutex_);
+    // Merges the file at path_ into the maps (existing entries win);
+    // corrupt records are skipped and counted in persist_rejects.
     bool load_locked() SD_REQUIRES(mutex_);
     bool save_locked() const SD_REQUIRES(mutex_);
-    smt::term_manager& default_manager() const;
 
-    smt::term_manager* tm_;  // default manager; null for CNF-only caches
     std::size_t capacity_;
     std::string path_;
     mutable sd::mutex mutex_;

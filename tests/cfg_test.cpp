@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ir/cfg.hpp"
 #include "ir/parser.hpp"
 #include "ir/symexec.hpp"
 #include "ir/transform.hpp"
+#include "obs/trace.hpp"
+#include "substrate/engine.hpp"
 #include "util/rng.hpp"
 
 namespace sciduction::ir {
@@ -139,6 +143,27 @@ TEST(symexec, witness_drives_intended_path) {
         ASSERT_TRUE(witness.has_value()) << "path " << i;
         EXPECT_EQ(g.trace(*witness).taken, paths[i]) << "path " << i;
     }
+}
+
+TEST(symexec, engine_witness_decides_on_the_calling_thread) {
+    // A single feasibility check is decided inline: the engine records its
+    // solve span but no queue_wait span, which only a task dispatched to
+    // the engine's pool records.
+    program p = diamond_chain(2);
+    cfg g = cfg::build(p, p.functions[0]);
+    smt::term_manager tm;
+    auto trace = std::make_shared<obs::trace_collector>();
+    substrate::smt_engine engine(tm, {.trace = trace});
+    auto witness = feasible_path_witness(g, g.enumerate_paths().front(), engine);
+    ASSERT_TRUE(witness.has_value());
+    bool solved = false;
+    bool queued = false;
+    for (const obs::trace_event& e : trace->events()) {
+        solved = solved || e.name == "solve";
+        queued = queued || e.name == "queue_wait";
+    }
+    EXPECT_TRUE(solved);
+    EXPECT_FALSE(queued);
 }
 
 TEST(symexec, infeasible_path_detected) {

@@ -117,8 +117,10 @@ TEST(trace, null_collector_span_is_inert) {
 TEST(trace, bounded_capacity_counts_drops_instead_of_growing) {
     obs::trace_collector tc(8);  // 1 slot per shard
     const std::uint32_t track = tc.register_track("t");
-    for (int i = 0; i < 64; ++i)
-        tc.record({"e" + std::to_string(i), track, static_cast<std::uint64_t>(i), 1, {}});
+    for (int i = 0; i < 64; ++i) {
+        const std::string name = std::string("e").append(std::to_string(i));
+        tc.record({name, track, static_cast<std::uint64_t>(i), 1, {}});
+    }
     EXPECT_LE(tc.events().size(), 8u);
     EXPECT_GE(tc.dropped(), 56u);
 }

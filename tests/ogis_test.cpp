@@ -35,7 +35,7 @@ TEST_P(component_agreement, concrete_matches_symbolic) {
             std::vector<smt::term> arg_terms;
             smt::env e;
             for (unsigned i = 0; i < c.arity; ++i) {
-                smt::term v = tm.mk_bv_var("a" + std::to_string(i), width);
+                smt::term v = tm.mk_bv_var(std::string("a").append(std::to_string(i)), width);
                 arg_terms.push_back(v);
                 e[v.id] = args[i];
             }

@@ -307,7 +307,7 @@ int run_smtlib2(const options& opt, const substrate::strategy& strat) {
               << "\n";
     if (!opt.cache_path.empty()) {
         std::cout << "c cache hits=" << stats.cache_hits
-                  << " persisted_loads=" << stats.persisted_loads << "\n";
+                  << " persisted_loads=" << engine.cache().stats().persisted_loads << "\n";
         engine.cache().save();
     }
     if (res.status == substrate::solve_status::malformed ||
