@@ -118,127 +118,6 @@ BENCHMARK(BM_sat_pigeonhole_sharded)
     ->Args({8, 3})
     ->Unit(benchmark::kMillisecond);
 
-// Clause sharing across shard sibling pairs (ISSUE 3 acceptance numbers):
-// PHP-8 at depth 2 with the tuned deterministic exchange from docs/TUNING.md
-// vs. the same tree unshared. Both runs are *fully deterministic* (the
-// deterministic-sharing discipline exchanges only at conflict-checkpoint
-// barriers), so the counters are machine- and thread-count-independent:
-// shared_conflicts ~19.9k vs unshared_conflicts ~22.3k, with the
-// exported/imported/useful-import counters showing where the win comes
-// from (useful = times an imported clause took part in conflict analysis).
-void BM_sat_pigeonhole_shard_sharing(benchmark::State& state) {
-    const int holes = static_cast<int>(state.range(0));
-    const unsigned depth = static_cast<unsigned>(state.range(1));
-    std::uint64_t shared_conflicts = 0;
-    std::uint64_t unshared_conflicts = 0;
-    substrate::sharing_counters counters;
-    for (auto _ : state) {
-        sat::solver prototype;
-        encode_pigeonhole(prototype, holes);
-        auto plan = substrate::generate_cubes(prototype, {.depth = depth, .probe_candidates = 8});
-        auto factory = [&](std::size_t) {
-            auto b = std::make_unique<substrate::sat_backend>();
-            encode_pigeonhole(b->solver(), holes);
-            return b;
-        };
-        substrate::sharing_config share;
-        share.enabled = true;
-        share.deterministic = true;
-        share.slice_conflicts = 3000;
-        share.max_clause_size = 16;
-        share.max_lbd = 16;
-        share.max_import_per_checkpoint = 64;
-        substrate::thread_pool pool(4);
-        auto shared = substrate::solve_cubes(factory, plan, pool, share);
-        if (!shared.result.is_unsat()) {
-            state.SkipWithError("pigeonhole must be unsat");
-            break;
-        }
-        shared_conflicts += shared.stats.conflicts;
-        counters.exported += shared.stats.sharing.exported;
-        counters.imported += shared.stats.sharing.imported;
-        counters.useful_imports += shared.stats.sharing.useful_imports;
-        state.PauseTiming();
-        auto unshared = substrate::solve_cubes(factory, plan, pool);
-        unshared_conflicts += unshared.stats.conflicts;
-        state.ResumeTiming();
-        if (!unshared.result.is_unsat()) {
-            state.SkipWithError("pigeonhole must be unsat");
-            break;
-        }
-    }
-    const auto iters = static_cast<double>(state.iterations());
-    state.counters["shared_conflicts"] =
-        benchmark::Counter(static_cast<double>(shared_conflicts) / iters);
-    state.counters["unshared_conflicts"] =
-        benchmark::Counter(static_cast<double>(unshared_conflicts) / iters);
-    state.counters["exported"] = benchmark::Counter(static_cast<double>(counters.exported) / iters);
-    state.counters["imported"] = benchmark::Counter(static_cast<double>(counters.imported) / iters);
-    state.counters["useful_imports"] =
-        benchmark::Counter(static_cast<double>(counters.useful_imports) / iters);
-}
-BENCHMARK(BM_sat_pigeonhole_shard_sharing)
-    ->Args({7, 2})
-    ->Args({8, 2})
-    ->Unit(benchmark::kMillisecond);
-
-// Clause sharing across deterministic-portfolio members: four diversified
-// members advance in 500-conflict rounds, exchanging clauses through a pool
-// sealed at each round barrier, vs. the same rounds with no exchange.
-// Deterministic whatever the pool width: on PHP-8 the exchange cuts the
-// total conflicts across members from ~79.6k to ~69.6k (PHP-7: ~13.6k to
-// ~13.55k).
-void BM_sat_pigeonhole_portfolio_sharing(benchmark::State& state) {
-    const int holes = static_cast<int>(state.range(0));
-    std::uint64_t shared_conflicts = 0;
-    std::uint64_t unshared_conflicts = 0;
-    substrate::sharing_counters counters;
-    for (auto _ : state) {
-        auto factory = [&](unsigned member) {
-            auto b = std::make_unique<substrate::sat_backend>(
-                substrate::diversified_options(member));
-            encode_pigeonhole(b->solver(), holes);
-            return b;
-        };
-        substrate::portfolio_config cfg;
-        cfg.members = 4;
-        cfg.sharing.deterministic = true;
-        cfg.sharing.slice_conflicts = 500;
-        cfg.sharing.max_clause_size = 16;
-        cfg.sharing.max_lbd = 16;
-        cfg.sharing.max_import_per_checkpoint = 16;
-        cfg.sharing.enabled = true;
-        auto shared = substrate::race(factory, cfg, nullptr);
-        if (!shared.result.is_unsat()) {
-            state.SkipWithError("pigeonhole must be unsat");
-            break;
-        }
-        shared_conflicts += shared.total_conflicts;
-        counters.exported += shared.sharing.exported;
-        counters.imported += shared.sharing.imported;
-        counters.useful_imports += shared.sharing.useful_imports;
-        state.PauseTiming();
-        cfg.sharing.enabled = false;
-        auto unshared = substrate::race(factory, cfg, nullptr);
-        unshared_conflicts += unshared.total_conflicts;
-        state.ResumeTiming();
-        if (!unshared.result.is_unsat()) {
-            state.SkipWithError("pigeonhole must be unsat");
-            break;
-        }
-    }
-    const auto iters = static_cast<double>(state.iterations());
-    state.counters["shared_conflicts"] =
-        benchmark::Counter(static_cast<double>(shared_conflicts) / iters);
-    state.counters["unshared_conflicts"] =
-        benchmark::Counter(static_cast<double>(unshared_conflicts) / iters);
-    state.counters["exported"] = benchmark::Counter(static_cast<double>(counters.exported) / iters);
-    state.counters["imported"] = benchmark::Counter(static_cast<double>(counters.imported) / iters);
-    state.counters["useful_imports"] =
-        benchmark::Counter(static_cast<double>(counters.useful_imports) / iters);
-}
-BENCHMARK(BM_sat_pigeonhole_portfolio_sharing)->Arg(7)->Arg(8)->Unit(benchmark::kMillisecond);
-
 // ---- solver-feature benchmarks (reduction + inprocessing) -------------------
 // The modern-CDCL acceptance evidence: learnt-DB reduction + inprocessing
 // (solver_features) against the feature-off baseline, on the corpus
@@ -477,7 +356,7 @@ BENCHMARK(BM_smt_batch_feasibility)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecon
 // The adaptive classifier over a mixed query stream: a tiny query, a
 // multiplier-backed medium query, and a re-submit of the tiny one, all with
 // strategy automatic. The per-kind auto-pick counters are uploaded as a CI
-// artifact (ci.yml, "bench-sharing-counters"): with threads pinned to 4 the
+// artifact (ci.yml, "bench-counters"): with threads pinned to 4 the
 // classifier's inputs are machine-independent, so the counters record the
 // selection behaviour over time.
 void BM_smt_engine_auto_strategy(benchmark::State& state) {
@@ -531,9 +410,12 @@ BENCHMARK(BM_smt_engine_auto_strategy)->Unit(benchmark::kMillisecond);
 // runs, via structurally remapped, evaluation-verified models (the
 // variable names differ per iteration on purpose). Counters (per
 // iteration): solver_runs and cache_hits from the engine; remapped_models,
-// remap_rejects and persisted_loads from the cache — the JSON artifact's
-// warm-vs-cold evidence is persisted_loads > 0, solver_runs ~ 0 and
-// remap_rejects == 0 on the second run.
+// remap_rejects and persisted_loads from the cache. Google Benchmark keeps
+// only the last batch's counters, and by then every iteration reloads what
+// the one before it saved, so first_solver_runs and first_persisted_loads
+// also report the process's first iteration: the only one that shows
+// whether the run started from a cold file (8 solves, 0 loads) or a warm
+// one (0 solves, loads > 0).
 // Set SCIDUCTION_BENCH_CACHE_PATH to persist across runs (CI does);
 // otherwise a scratch file is used and removed.
 void BM_smt_engine_persistent_cache(benchmark::State& state) {
@@ -548,6 +430,10 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
     std::uint64_t rejects = 0;
     std::uint64_t persisted = 0;
     std::uint64_t iteration = 0;
+    // Captured once per process: the benchmark function runs once per batch.
+    static bool first_taken = false;
+    static std::uint64_t first_solver_runs = 0;
+    static std::uint64_t first_persisted_loads = 0;
     for (auto _ : state) {
         smt::term_manager tm;
         substrate::smt_engine engine(tm, {.cache_path = path});
@@ -572,6 +458,11 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
         remapped += cs.remapped_models;
         rejects += cs.remap_rejects;
         persisted += cs.persisted_loads;
+        if (!first_taken) {
+            first_taken = true;
+            first_solver_runs = stats.solver_runs;
+            first_persisted_loads = cs.persisted_loads;
+        }
     }
     const auto iters = static_cast<double>(state.iterations());
     state.counters["solver_runs"] = benchmark::Counter(static_cast<double>(solver_runs) / iters);
@@ -579,6 +470,10 @@ void BM_smt_engine_persistent_cache(benchmark::State& state) {
     state.counters["remapped_models"] = benchmark::Counter(static_cast<double>(remapped) / iters);
     state.counters["remap_rejects"] = benchmark::Counter(static_cast<double>(rejects) / iters);
     state.counters["persisted_loads"] = benchmark::Counter(static_cast<double>(persisted) / iters);
+    state.counters["first_solver_runs"] =
+        benchmark::Counter(static_cast<double>(first_solver_runs));
+    state.counters["first_persisted_loads"] =
+        benchmark::Counter(static_cast<double>(first_persisted_loads));
     if (env_path == nullptr) std::remove(path.c_str());
 }
 BENCHMARK(BM_smt_engine_persistent_cache)->Unit(benchmark::kMillisecond);

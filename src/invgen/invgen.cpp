@@ -162,7 +162,6 @@ bool refine_round(const circuit_t& circuit, std::vector<candidate>& candidates,
     substrate::strategy strat = cfg.portfolio_members > 1
                                     ? substrate::strategy::portfolio(cfg.portfolio_members)
                                     : substrate::strategy::single();
-    strat.sharing = cfg.sharing;
     auto outcome = substrate::solve_cnf(
         [&](unsigned member, sat::solver& solver) {
             member_violations[member] =
@@ -316,7 +315,6 @@ bool prove_with_invariants(const aig::aig& circuit, aig::literal prop,
         substrate::strategy strat = cfg.shard_depth > 0
                                         ? substrate::strategy::shard(cfg.shard_depth)
                                         : substrate::strategy::single();
-        strat.sharing = cfg.sharing;
         auto outcome = substrate::solve_cnf(
             [&](unsigned, sat::solver& solver) { build_step(solver); }, strat,
             cfg.shard_threads, {}, cache.get());

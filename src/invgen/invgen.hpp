@@ -20,7 +20,6 @@
 
 #include "aig/aig.hpp"
 #include "core/hypothesis.hpp"
-#include "substrate/clause_exchange.hpp"
 #include "util/rng.hpp"
 
 namespace sciduction::invgen {
@@ -52,12 +51,6 @@ struct invgen_config {
     /// differ between runs.
     unsigned portfolio_members = 1;
     unsigned portfolio_threads = 0;  ///< 0 = hardware concurrency
-    /// Learnt-clause exchange between the raced members (ManySAT style):
-    /// every member builds the identical refinement CNF, so clauses learnt
-    /// refuting one member's branch prune the others' too. sat/unsat
-    /// answers stay deterministic; sharing.deterministic additionally makes
-    /// the member stats (and the winning model) reproducible.
-    substrate::sharing_config sharing{};
     /// Warm start: persist the refinement rounds' CNF-level results at
     /// this path (substrate fingerprint cache, see docs/CACHING.md). The
     /// candidate generation is seeded, so a repeated run issues the
@@ -94,9 +87,6 @@ struct proof_config {
     unsigned batch_threads = 1;
     unsigned shard_depth = 0;    ///< 0 = single-instance inductive-step solve
     unsigned shard_threads = 0;  ///< 0 = hardware concurrency
-    /// Learnt-clause exchange between the inductive step's shard pairs
-    /// (core-clean filtered; see substrate::solve_cubes).
-    substrate::sharing_config sharing{};
     /// Warm start: persist the base-case and inductive-step results at
     /// this path (substrate fingerprint cache, see docs/CACHING.md), so
     /// re-proving the same property under the same invariants answers

@@ -6,10 +6,10 @@
 ///
 /// Design contract: tracing only *observes*. Spans read the wall clock and
 /// append to a bounded buffer; they never gate, delay, or reorder solver
-/// work, so the deterministic disciplines (budgeted portfolio rounds,
-/// shard rounds, deterministic sharing) stay bit-identical with tracing
-/// enabled (pinned by tests/obs_test.cpp). Events carry both wall-clock
-/// timestamps and *logical* annotations (request id, finish_seq, member /
+/// work, so the deterministic disciplines (budgeted portfolio and shard
+/// rounds) stay bit-identical with tracing enabled (pinned by
+/// tests/obs_test.cpp). Events carry both wall-clock timestamps and
+/// *logical* annotations (request id, finish_seq, member /
 /// pair / round numbers) as args, so traces from deterministic runs can be
 /// compared on logical time even though wall time differs.
 ///

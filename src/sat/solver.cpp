@@ -42,14 +42,14 @@ var solver::new_var() {
 
 // ---- clause arena ----------------------------------------------------------
 
-cref solver::alloc_clause(const clause_lits& lits, bool learnt, bool imported) {
+cref solver::alloc_clause(const clause_lits& lits, bool learnt) {
     cref c = static_cast<cref>(arena_.size());
-    arena_.push_back((static_cast<std::uint32_t>(lits.size()) << 4) |
-                     (imported ? hdr_imported : 0U) | (learnt ? hdr_extra | hdr_learnt : 0U));
+    arena_.push_back((static_cast<std::uint32_t>(lits.size()) << hdr_size_shift) |
+                     (learnt ? hdr_extra | hdr_learnt : 0U));
     if (learnt) {
         arena_.push_back(0);  // activity slot
-        // LBD slot; callers with a real glue value overwrite it, imports
-        // keep the pessimistic size bound.
+        // LBD slot: the pessimistic size bound until the caller stores the
+        // clause's real glue value.
         arena_.push_back(static_cast<std::uint32_t>(lits.size()));
     }
     for (lit l : lits) arena_.push_back(static_cast<std::uint32_t>(l.x));
@@ -71,8 +71,8 @@ void solver::set_clause_activity(cref c, float a) {
 
 void solver::shrink_clause(cref c, std::uint32_t new_size) {
     std::uint32_t hdr = arena_[c];
-    wasted_ += (hdr >> 4) - new_size;  // tail words become garbage
-    arena_[c] = (new_size << 4) | (hdr & 15U);
+    wasted_ += (hdr >> hdr_size_shift) - new_size;  // tail words become garbage
+    arena_[c] = (new_size << hdr_size_shift) | (hdr & ((1U << hdr_size_shift) - 1U));
 }
 
 // ---- watches ----------------------------------------------------------------
@@ -256,7 +256,7 @@ solver::probe_outcome solver::probe_literal(lit l) {
     return out;
 }
 
-// ---- clause sharing -------------------------------------------------------------
+// ---- literal-block distance -------------------------------------------------------
 
 unsigned solver::compute_lbd(const clause_lits& lits) {
     // Stamp-based distinct-level count; the stamp array is lazily grown and
@@ -289,67 +289,6 @@ unsigned solver::compute_lbd_clause(cref c) {
         }
     }
     return lbd;
-}
-
-void solver::export_learnt(const clause_lits& lits, unsigned lbd) {
-    if (!export_fn_) return;
-    if (export_fn_(lits, lbd)) ++stats_.exported_clauses;
-}
-
-bool solver::integrate_import(const clause_lits& lits) {
-    // Same top-level simplification as add_clause, but the survivor joins
-    // the learnt database flagged as imported (so reduce_db may drop it
-    // again and the useful-import counter can recognize it).
-    //
-    // A foreign clause touching a variable this solver eliminated is still
-    // sound to keep (it is a consequence of the shared CNF), but it would
-    // be the only clause over that variable — dead weight the next
-    // inprocessing pass would sweep anyway, so drop it here.
-    if (!elim_stack_.empty())
-        for (lit l : lits)
-            if (var_eliminated(var_of(l))) return false;
-    clause_lits sorted = lits;
-    std::sort(sorted.begin(), sorted.end());
-    clause_lits out;
-    lit prev = lit_undef;
-    for (lit l : sorted) {
-        if (value(l) == lbool::l_true || l == ~prev) return false;  // satisfied or tautology
-        if (value(l) == lbool::l_false || l == prev) continue;      // falsified or duplicate
-        out.push_back(l);
-        prev = l;
-    }
-    if (out.empty()) {
-        ok_ = false;
-        return true;
-    }
-    if (out.size() == 1) {
-        enqueue(out[0], cref_undef);
-        ok_ = propagate() == cref_undef;
-        return true;
-    }
-    cref c = alloc_clause(out, /*learnt=*/true, /*imported=*/true);
-    learnts_.push_back(c);
-    attach_clause(c);
-    cla_bump_activity(c);
-    return true;
-}
-
-std::size_t solver::import_clauses(const std::vector<clause_lits>& clauses) {
-    if (decision_level() != 0) throw std::logic_error("import_clauses: only at decision level 0");
-    std::size_t integrated = 0;
-    for (const clause_lits& c : clauses) {
-        if (!ok_) break;
-        if (integrate_import(c)) ++integrated;
-    }
-    stats_.imported_clauses += integrated;
-    return integrated;
-}
-
-void solver::pull_imports() {
-    if (!import_fn_ || !ok_) return;
-    import_scratch_.clear();
-    import_fn_(import_scratch_);
-    if (!import_scratch_.empty()) import_clauses(import_scratch_);
 }
 
 std::vector<std::uint32_t> solver::occurrence_counts() const {
@@ -385,7 +324,6 @@ void solver::analyze(cref confl, clause_lits& out_learnt, int& out_btlevel) {
                 if (glue < clause_lbd(c)) set_clause_lbd(c, glue);
             }
         }
-        if (clause_imported(c)) ++stats_.useful_imports;
         std::uint32_t start = (p == lit_undef) ? 0U : 1U;
         std::uint32_t sz = clause_size(c);
         for (std::uint32_t k = start; k < sz; ++k) {
@@ -1126,8 +1064,7 @@ cref solver::relocate(cref c, std::vector<std::uint32_t>& to) {
 lbool solver::search(std::uint64_t conflicts_before_restart) {
     // Resume mid-interval after a conflict-pause: without this, an interval
     // longer than the pause slice could never complete and the solver would
-    // stop restarting (degrading search and starving restart-boundary
-    // clause imports). Zero except immediately after a pause.
+    // stop restarting. Zero except immediately after a pause.
     std::uint64_t conflicts_here = resume_interval_conflicts_;
     resume_interval_conflicts_ = 0;
     clause_lits learnt;
@@ -1170,7 +1107,6 @@ lbool solver::search(std::uint64_t conflicts_before_restart) {
                 cla_bump_activity(c);
                 enqueue(learnt[0], c);
             }
-            export_learnt(learnt, lbd);
             var_decay_activity();
             cla_decay_activity();
             if (conflict_pause_ != 0 && stats_.conflicts >= conflict_pause_) {
@@ -1249,7 +1185,6 @@ solve_result solver::solve(const std::vector<lit>& assumptions) {
     interrupted_ = false;
     paused_ = false;
     budget_exhausted_ = false;
-    pull_imports();  // clause sharing: catch up on foreign clauses first
     if (progress_fn_) progress_fn_(stats_);
     if (!ok_) return solve_result::unsat;
 
@@ -1280,11 +1215,8 @@ solve_result solver::solve(const std::vector<lit>& assumptions) {
             return solve_result::unknown;
         }
         if (status == lbool::l_undef) {
-            // Restart boundary: the one point where importing foreign
-            // clauses is safe (decision level 0) and cheap. Inprocessing
-            // fires here too, on its deterministic conflict threshold.
-            pull_imports();
-            if (!ok_) return solve_result::unsat;
+            // Restart boundary (decision level 0): inprocessing fires here,
+            // on its deterministic conflict threshold.
             if (opts_.inprocess && stats_.conflicts >= next_inprocess_) {
                 inprocess();
                 if (!ok_) return solve_result::unsat;

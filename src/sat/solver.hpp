@@ -35,16 +35,9 @@ struct solver_stats {
     std::uint64_t learnt_literals = 0;
     std::uint64_t minimized_literals = 0;
     std::uint64_t deleted_clauses = 0;
-    /// Learnt clauses offered to the export hook (clause sharing).
-    std::uint64_t exported_clauses = 0;
-    /// Foreign clauses integrated by import_clauses / the import hook.
-    std::uint64_t imported_clauses = 0;
-    /// Times an imported clause took part in a conflict analysis — the
-    /// "did sharing actually help" signal the exchange benches report.
-    std::uint64_t useful_imports = 0;
     /// Sum of learnt-clause LBDs (glue); divide by `conflicts` for the
     /// average. Accumulated only when LBD tracking is active (see
-    /// solver_options::track_lbd and set_clause_export).
+    /// solver_options::track_lbd and reduce_learnts).
     std::uint64_t lbd_sum = 0;
     /// Glucose-discipline learnt-DB reductions performed (see
     /// solver_options::reduce_learnts); deleted_clauses counts the drops.
@@ -73,8 +66,8 @@ enum class solve_result : std::uint8_t { sat, unsat, unknown };
 /// deterministic, two builds of the same problem produce identical
 /// digests across runs and processes — this is the identity the
 /// persistent CNF-level result cache keys on (substrate::cnf_fingerprint).
-/// Learnt and imported clauses never enter the digest: they are
-/// consequences, not part of the problem.
+/// Learnt clauses never enter the digest: they are consequences, not
+/// part of the problem.
 struct clause_digest {
     std::uint64_t lo = 0x5c1d0c71a2e4b69dULL;  ///< golden-ratio mix lane
     std::uint64_t hi = 0xcbf29ce484222325ULL;  ///< FNV-1a lane
@@ -96,9 +89,8 @@ struct solver_options {
     double restart_base = 100.0;       ///< conflicts before the first restart
     double restart_luby_factor = 2.0;  ///< geometric factor of the Luby sequence
     /// Compute the literal-block distance (LBD, "glue") of every learnt
-    /// clause and accumulate solver_stats::lbd_sum. Implied automatically
-    /// when a clause-export hook is installed (the hook receives the LBD);
-    /// off by default so the plain solver pays nothing.
+    /// clause and accumulate solver_stats::lbd_sum. Off by default so the
+    /// plain solver pays nothing.
     bool track_lbd = false;
 
     // ---- learnt-DB reduction (Glucose discipline) -------------------------
@@ -174,26 +166,6 @@ public:
     /// Pass nullptr to detach. The flag must outlive the solve call.
     void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
-    /// Clause-sharing export hook, called once per learnt clause (including
-    /// learnt units) with the clause literals and its LBD; it returns
-    /// whether the clause was accepted (stats().exported_clauses counts
-    /// acceptances). The hook runs on the solving thread in the middle of
-    /// search: it must only copy the literals out (e.g. into a
-    /// substrate::clause_pool) and return quickly. Installing a hook
-    /// implies LBD computation; pass nullptr to detach. Learnt clauses are
-    /// consequences of the clause database alone — assumptions enter the
-    /// search as decisions, never as clauses — so an exported clause is
-    /// sound in any solver over the *same* CNF.
-    using clause_export_fn = std::function<bool(const clause_lits&, unsigned lbd)>;
-    void set_clause_export(clause_export_fn fn) { export_fn_ = std::move(fn); }
-
-    /// Clause-sharing import hook, polled at every restart boundary and at
-    /// the start of each solve(): the hook appends foreign clauses to the
-    /// scratch vector (clearing is the solver's job) and the solver
-    /// integrates them at decision level 0. Pass nullptr to detach.
-    using clause_import_fn = std::function<void(std::vector<clause_lits>&)>;
-    void set_clause_import(clause_import_fn fn) { import_fn_ = std::move(fn); }
-
     /// Progress hook, fired with the cumulative stats() snapshot at the
     /// start of each solve() and at every restart boundary — the live
     /// conflicts/propagations/restarts/LBD feed behind progress_reply. The
@@ -203,16 +175,6 @@ public:
     /// restart); pass nullptr to detach.
     using progress_fn = std::function<void(const solver_stats&)>;
     void set_progress(progress_fn fn) { progress_fn_ = std::move(fn); }
-
-    /// Integrates foreign clauses at decision level 0 (between solve()
-    /// calls, or from the import hook at a restart boundary). Each clause is
-    /// simplified against the top-level assignment; clauses already
-    /// satisfied are dropped, falsified literals are removed, units are
-    /// enqueued and propagated, and the rest join the learnt database marked
-    /// as imported. Returns the number of clauses actually integrated.
-    /// Imported clauses must be logical consequences of this solver's CNF
-    /// (the clause-exchange replica contract).
-    std::size_t import_clauses(const std::vector<clause_lits>& clauses);
 
     /// Pauses the search when stats().conflicts reaches `total_conflicts`
     /// (0 = never): solve() returns solve_result::unknown with all state —
@@ -306,18 +268,16 @@ public:
 private:
     // ---- clause arena ----------------------------------------------------
     // Layout per clause: [header][act][lbd] (learnt only) [lit0][lit1]...
-    // header = (size << 4) | (reloced << 3) | (imported << 2)
-    //        | (has_extra << 1) | learnt
+    // header = (size << 3) | (reloced << 2) | (has_extra << 1) | learnt
     // `reloced` marks a clause forwarded by arena garbage collection: the
     // word after the header then holds the new cref instead of activity.
     static constexpr std::uint32_t hdr_learnt = 1U;
     static constexpr std::uint32_t hdr_extra = 2U;
-    static constexpr std::uint32_t hdr_imported = 4U;
-    static constexpr std::uint32_t hdr_reloced = 8U;
+    static constexpr std::uint32_t hdr_reloced = 4U;
+    static constexpr std::uint32_t hdr_size_shift = 3U;
 
-    [[nodiscard]] std::uint32_t clause_size(cref c) const { return arena_[c] >> 4; }
+    [[nodiscard]] std::uint32_t clause_size(cref c) const { return arena_[c] >> hdr_size_shift; }
     [[nodiscard]] bool clause_learnt(cref c) const { return (arena_[c] & hdr_learnt) != 0; }
-    [[nodiscard]] bool clause_imported(cref c) const { return (arena_[c] & hdr_imported) != 0; }
     [[nodiscard]] bool clause_reloced(cref c) const { return (arena_[c] & hdr_reloced) != 0; }
     [[nodiscard]] lit clause_lit(cref c, std::uint32_t i) const {
         return lit{static_cast<std::int32_t>(arena_[c + lit_offset(c) + i])};
@@ -338,26 +298,17 @@ private:
     void set_clause_lbd(cref c, std::uint32_t lbd) { arena_[c + 2] = lbd; }
     void shrink_clause(cref c, std::uint32_t new_size);
 
-    cref alloc_clause(const clause_lits& lits, bool learnt, bool imported = false);
+    cref alloc_clause(const clause_lits& lits, bool learnt);
     /// Bookkeeping for a clause leaving the database: its words stay in the
     /// arena until garbage collection relocates the survivors.
     void free_clause(cref c) { wasted_ += clause_words(c); }
 
-    // ---- clause sharing ---------------------------------------------------
-    [[nodiscard]] bool lbd_active() const {
-        return opts_.track_lbd || opts_.reduce_learnts || export_fn_ != nullptr;
-    }
+    // ---- literal-block distance -------------------------------------------
+    [[nodiscard]] bool lbd_active() const { return opts_.track_lbd || opts_.reduce_learnts; }
     /// Literal-block distance: distinct decision levels among the literals.
     [[nodiscard]] unsigned compute_lbd(const clause_lits& lits);
     /// Same, over a clause in the arena (for the dynamic-LBD update).
     [[nodiscard]] unsigned compute_lbd_clause(cref c);
-    /// Fires the export hook for a freshly learnt clause (if installed).
-    void export_learnt(const clause_lits& lits, unsigned lbd);
-    /// Polls the import hook and integrates what it returns (level 0 only).
-    void pull_imports();
-    /// Integrates one foreign clause at level 0; returns true if it was
-    /// attached or enqueued (false: dropped as satisfied / duplicate).
-    bool integrate_import(const clause_lits& lits);
 
     // ---- watched literals ------------------------------------------------
     struct watcher {
@@ -518,10 +469,7 @@ private:
     bool paused_ = false;       // search paused by the conflict-pause threshold
     bool budget_exhausted_ = false;  // search aborted on the hard conflict budget
 
-    clause_export_fn export_fn_;
-    clause_import_fn import_fn_;
     progress_fn progress_fn_;
-    std::vector<clause_lits> import_scratch_;  // reused buffer for pull_imports
     std::vector<std::uint32_t> lbd_seen_;      // per-level stamp for compute_lbd
     std::uint32_t lbd_stamp_ = 0;
 

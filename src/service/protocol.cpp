@@ -223,16 +223,15 @@ void decode_dag(smt::term_manager& tm, wire_reader& r, std::vector<smt::term>& a
 // ---- strategy codec ---------------------------------------------------------
 
 // Presence bits of the strategy block's optional fields. Bits 1 (the
-// removed sequential-portfolio flag) and 7 are unassigned: decode rejects
-// them.
+// removed sequential-portfolio flag), 4 (the removed sharing block) and 7
+// are unassigned: decode rejects them.
 constexpr std::uint8_t has_members = 1u << 0;
 constexpr std::uint8_t has_depth = 1u << 2;
 constexpr std::uint8_t has_probes = 1u << 3;
-constexpr std::uint8_t has_sharing = 1u << 4;
 constexpr std::uint8_t has_use_cache = 1u << 5;
 constexpr std::uint8_t has_features = 1u << 6;
 constexpr std::uint8_t known_fields =
-    has_members | has_depth | has_probes | has_sharing | has_use_cache | has_features;
+    has_members | has_depth | has_probes | has_use_cache | has_features;
 
 void encode_strategy(const substrate::strategy& s, wire_writer& w) {
     w.u8(static_cast<std::uint8_t>(s.kind));
@@ -240,21 +239,12 @@ void encode_strategy(const substrate::strategy& s, wire_writer& w) {
     if (s.members) mask |= has_members;
     if (s.depth) mask |= has_depth;
     if (s.probe_candidates) mask |= has_probes;
-    if (s.sharing) mask |= has_sharing;
     if (s.use_cache) mask |= has_use_cache;
     if (s.features) mask |= has_features;
     w.u8(mask);
     if (s.members) w.u32(*s.members);
     if (s.depth) w.u32(*s.depth);
     if (s.probe_candidates) w.u32(*s.probe_candidates);
-    if (s.sharing) {
-        w.u8(s.sharing->enabled ? 1 : 0);
-        w.u8(s.sharing->deterministic ? 1 : 0);
-        w.u32(s.sharing->max_clause_size);
-        w.u32(s.sharing->max_lbd);
-        w.u64(s.sharing->slice_conflicts);
-        w.u64(s.sharing->max_import_per_checkpoint);
-    }
     if (s.use_cache) w.u8(*s.use_cache ? 1 : 0);
     if (s.features) {
         // One flag byte: bit 0 = reduce, bit 1 = inprocess (room to grow).
@@ -264,6 +254,7 @@ void encode_strategy(const substrate::strategy& s, wire_writer& w) {
         w.u8(flags);
     }
     w.u64(s.conflict_budget);
+    w.u64(s.slice_conflicts);
     w.u64(s.time_budget_ms);
 }
 
@@ -278,16 +269,6 @@ substrate::strategy decode_strategy(wire_reader& r) {
     if ((mask & has_members) != 0) s.members = r.u32();
     if ((mask & has_depth) != 0) s.depth = r.u32();
     if ((mask & has_probes) != 0) s.probe_candidates = r.u32();
-    if ((mask & has_sharing) != 0) {
-        substrate::sharing_config sh;
-        sh.enabled = r.u8() != 0;
-        sh.deterministic = r.u8() != 0;
-        sh.max_clause_size = r.u32();
-        sh.max_lbd = r.u32();
-        sh.slice_conflicts = r.u64();
-        sh.max_import_per_checkpoint = r.u64();
-        s.sharing = sh;
-    }
     if ((mask & has_use_cache) != 0) s.use_cache = r.u8() != 0;
     if ((mask & has_features) != 0) {
         const std::uint8_t flags = r.u8();
@@ -297,6 +278,7 @@ substrate::strategy decode_strategy(wire_reader& r) {
         s.features = f;
     }
     s.conflict_budget = r.u64();
+    s.slice_conflicts = r.u64();
     s.time_budget_ms = r.u64();
     return s;
 }

@@ -37,7 +37,9 @@ namespace sciduction::service {
 /// the trace opcode exports the daemon's span trace as JSON. v3: strategy
 /// kinds end at shard, and the strategy block's presence bit 1 (the
 /// sequential-portfolio flag) is gone; unknown presence bits are rejected.
-inline constexpr std::uint32_t protocol_version = 3;
+/// v4: the strategy block's sharing field (presence bit 4) is gone, and
+/// `slice_conflicts` travels as a plain u64 after the conflict budget.
+inline constexpr std::uint32_t protocol_version = 4;
 /// Hard ceiling on one frame (opcode + payload), requests and replies.
 inline constexpr std::uint32_t max_frame_bytes = 4u << 20;
 

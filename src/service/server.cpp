@@ -13,6 +13,8 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "substrate/query_cache.hpp"
 
@@ -508,10 +510,13 @@ void server::schedule(connection& conn) {
     const clock::time_point now = clock::now();
     obs::span decode_span(trace_.get(), conn.trace_track, "decode");
     decode_span.arg("batch", batch.size());
+    // Decode the whole batch before submitting any of it: a submitted
+    // request starts reading the manager on a pool thread at once.
+    std::vector<std::pair<submit_message, clock::time_point>> decoded;
+    decoded.reserve(batch.size());
     for (auto& pend : batch) {
-        submit_message msg;
         try {
-            msg = decode_submit(*conn.tm, pend.payload);
+            decoded.emplace_back(decode_submit(*conn.tm, pend.payload), pend.enqueued);
         } catch (const wire_error& e) {
             c_protocol_errors_.add();
             wire_writer w;
@@ -519,17 +524,18 @@ void server::schedule(connection& conn) {
             w.u8(static_cast<std::uint8_t>(reject_reason::protocol));
             w.str(std::string("submit failed to decode: ") + e.what());
             conn.send({op::reject, w.take()});
-            continue;
         }
+    }
+    for (auto& [msg, enqueued] : decoded) {
         connection::inflight_request req;
         // Stamp admission and dispatch on the collector's timebase before
         // submitting, so the reaper can emit queue_wait/solve/request
         // spans that exactly partition the request's wall time.
         const std::uint64_t dispatched_us = trace_->now_us();
         const std::uint64_t wait_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(now - pend.enqueued).count());
+            std::chrono::duration_cast<std::chrono::microseconds>(now - enqueued).count());
         req.handle = conn.session->submit(std::move(msg.request));
-        req.enqueued = pend.enqueued;
+        req.enqueued = enqueued;
         req.dispatched = now;
         req.enqueued_us = dispatched_us > wait_us ? dispatched_us - wait_us : 0;
         req.dispatched_us = dispatched_us;

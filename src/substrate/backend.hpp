@@ -30,8 +30,8 @@ namespace sciduction {}
 
 /// The deductive substrate: uniform solver backends plus the caching and
 /// concurrency strategies (portfolio, cube-and-conquer sharding, batching,
-/// async futures, learnt-clause exchange) every application loop routes its
-/// queries through. See docs/ARCHITECTURE.md.
+/// async futures) every application loop routes its queries through. See
+/// docs/ARCHITECTURE.md.
 /// Telemetry layer (src/obs/): forward-declared here so solve_controls can
 /// carry an optional tracer without the substrate core depending on it.
 namespace sciduction::obs {
@@ -92,9 +92,6 @@ struct solve_controls {
     /// all state intact. The budgeted-rounds disciplines check it at their
     /// barriers instead. 0 = unlimited.
     std::uint64_t conflict_budget = 0;
-    /// Live conflict feed: schedulers add restart-boundary conflict deltas
-    /// here so progress readers see effort mid-flight. nullptr = off.
-    std::atomic<std::uint64_t>* live_conflicts = nullptr;
     /// Span tracer the schedulers record per-member / per-pair / per-round
     /// solve slices into. nullptr = tracing off (zero cost). Observation
     /// only: tracing must never perturb the search (the deterministic
@@ -174,10 +171,9 @@ public:
     virtual void prepare() {}
 
     /// The CNF-level CDCL core of this instance, or nullptr for backends
-    /// without one (both shipped adapters have one). The clause-exchange
-    /// layer installs its export/import hooks here and reads the exchange
-    /// counters back; the budgeted portfolio sets its conflict-pause slices
-    /// through it.
+    /// without one (both shipped adapters have one). The schedulers arm
+    /// conflict budgets and set their conflict-pause slices through it,
+    /// and read its conflict counts back.
     [[nodiscard]] virtual sat::solver* sat_core() { return nullptr; }
 };
 

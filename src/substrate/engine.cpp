@@ -245,7 +245,6 @@ backend_result smt_engine::run_request(const solve_request& req, detail::query_s
     controls.cancel = &state.cancel;
     controls.progress = &state.cubes;
     controls.conflict_budget = rs.conflict_budget;
-    controls.live_conflicts = &state.live_conflicts;
     controls.trace = tr;
     controls.trace_track = trace_track_;
     controls.trace_query = state.query_id;

@@ -12,10 +12,10 @@
 ///                      (optionally capacity-bounded with LRU eviction);
 ///                      every sat hit is remapped and verified by evaluation;
 ///   * single         — one solver instance;
-///   * portfolio      — races diversified instances on the pool (in
-///                      reproducible budgeted rounds with
-///                      sharing.deterministic);
-///   * shard          — cube-and-conquers one hard query across the pool;
+///   * portfolio      — races diversified instances on the pool;
+///   * shard          — cube-and-conquers one hard query across the pool
+///                      (both in reproducible budgeted rounds with
+///                      `strategy::slice_conflicts`);
 ///   * automatic      — `strategy::auto_select` classifies the query on
 ///                      cheap structural features;
 ///   * coalescing     — a submit equal to one already in flight shares its
@@ -151,7 +151,7 @@ struct request_stats {
     bool coalesced = false;      ///< this handle joined an in-flight duplicate
     unsigned winner = 0;         ///< kind portfolio: member that answered
     std::uint64_t conflicts = 0; ///< conflicts of the returned result
-    std::uint64_t rounds = 0;    ///< budgeted-discipline exchange rounds
+    std::uint64_t rounds = 0;    ///< budgeted rounds driven (0 when free-running)
     shard_stats shard;           ///< kind shard: work breakdown (else zeroed)
     /// Why the solve ended the way it did (mirrors the result's
     /// solve_status; `ok` until completion). A handle-level timeout is

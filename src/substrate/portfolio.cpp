@@ -60,13 +60,11 @@ portfolio_outcome race_single(const backend_factory& factory, const solve_contro
     return outcome;
 }
 
-/// Free-running race, optionally with a shared clause pool. With
-/// `exchange == nullptr` this is the pre-sharing race, byte-identical in
-/// answers and per-member solver behaviour. An external cancel flag in
-/// `controls` doubles as the race's own loser-cancellation line, so a
-/// caller setting it mid-solve aborts every member cooperatively.
+/// Free-running race. An external cancel flag in `controls` doubles as
+/// the race's own loser-cancellation line, so a caller setting it
+/// mid-solve aborts every member cooperatively.
 portfolio_outcome race_free(const backend_factory& factory, unsigned members, thread_pool& pool,
-                            clause_pool* exchange, const solve_controls& controls) {
+                            const solve_controls& controls) {
     struct race_state {
         std::atomic<bool> local_cancel{false};
         std::atomic<bool>* cancel = nullptr;
@@ -76,19 +74,9 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
     } state;
     state.cancel = controls.cancel != nullptr ? controls.cancel : &state.local_cancel;
 
-    if (exchange != nullptr) {
-        // Register every member up front so pool member ids are independent
-        // of which worker thread reaches its member first.
-        for (unsigned m = 0; m < members; ++m) exchange->register_member();
-    }
-
     pool.parallel_for(members, [&](std::size_t member) {
         if (state.cancel->load(std::memory_order_relaxed)) return;
         auto backend = factory(static_cast<unsigned>(member));
-        if (exchange != nullptr) {
-            if (sat::solver* core = backend->sat_core())
-                exchange->attach(*core, static_cast<unsigned>(member));
-        }
         arm_budget(*backend, controls.conflict_budget);
         obs::span slice(controls.trace, controls.trace_track,
                         "member#" + std::to_string(member));
@@ -98,12 +86,9 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
         slice.arg("conflicts", result.conflicts);
         slice.end();
         const std::uint64_t conflicts = result.conflicts;
-        sat::solver_stats core_stats;
-        if (sat::solver* core = backend->sat_core()) core_stats = core->stats();
         const bool definite = result.ans != answer::unknown;
         sd::lock_guard lock(state.mutex);
         state.outcome.total_conflicts += conflicts;
-        state.outcome.sharing.accumulate(core_stats);
         if (!definite && !state.decided)
             // All-unknown race: report the members' own abort classification
             // (cancelled / over_budget) instead of a bare unknown.
@@ -121,26 +106,15 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
 }
 
 /// Budgeted rounds: members advance in fixed conflict slices with a
-/// barrier between rounds, where a shared pool (sharing.enabled) is sealed.
-/// Every member's work in round r depends only on its own deterministic
-/// search plus the pool content sealed at round r-1, so the whole outcome
-/// is reproducible across thread counts.
-portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_config& cfg,
-                              thread_pool& pool, const solve_controls& controls) {
-    const unsigned members = cfg.members == 0 ? 1 : cfg.members;
-    const std::uint64_t slice = cfg.sharing.slice_conflicts == 0 ? default_slice_conflicts
-                                                                 : cfg.sharing.slice_conflicts;
-
-    clause_pool exchange(cfg.sharing);
+/// barrier between rounds. Every member's work in round r depends only on
+/// its own deterministic search, so the whole outcome is reproducible
+/// across thread counts.
+portfolio_outcome race_rounds(const backend_factory& factory, unsigned members,
+                              std::uint64_t slice, thread_pool& pool,
+                              const solve_controls& controls) {
     std::vector<std::unique_ptr<solver_backend>> team;
     team.reserve(members);
-    for (unsigned m = 0; m < members; ++m) {
-        team.push_back(factory(m));
-        if (cfg.sharing.enabled) {
-            exchange.register_member();
-            if (sat::solver* core = team[m]->sat_core()) exchange.attach(*core, m);
-        }
-    }
+    for (unsigned m = 0; m < members; ++m) team.push_back(factory(m));
 
     std::vector<backend_result> answers(members);
     std::vector<char> decided(members, 0);
@@ -158,17 +132,16 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
                 answers[m] = std::move(r);
             }
         };
-        // Members are independent within a round (the pool is frozen), so
-        // every schedule of the round computes the same thing. The round
-        // span is logical time made visible: round numbers are identical
-        // across thread counts even though wall time is not.
+        // Members are independent within a round, so every schedule of the
+        // round computes the same thing. The round span is logical time
+        // made visible: round numbers are identical across thread counts
+        // even though wall time is not.
         obs::span round_span(controls.trace, controls.trace_track,
                              "round#" + std::to_string(out.rounds));
         round_span.arg("query", controls.trace_query);
         round_span.arg("round", out.rounds);
         pool.parallel_for(members, run_member);
         round_span.end();
-        if (cfg.sharing.enabled) exchange.seal_round();
         // External cancellation and budget exhaustion resolve at the round
         // barrier (deterministically for the budget: member conflict counts
         // are scheduling-independent). Either finalizes with unknown.
@@ -187,10 +160,8 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
             for (unsigned m = 0; m < members; ++m) any_decided = any_decided || decided[m] != 0;
             if (!any_decided) {
                 for (unsigned k = 0; k < members; ++k) {
-                    if (sat::solver* core = team[k]->sat_core()) {
+                    if (sat::solver* core = team[k]->sat_core())
                         out.total_conflicts += core->stats().conflicts;
-                        out.sharing.accumulate(core->stats());
-                    }
                 }
                 out.result.status =
                     cancelled ? solve_status::cancelled : solve_status::over_budget;
@@ -209,10 +180,8 @@ portfolio_outcome race_rounds(const backend_factory& factory, const portfolio_co
                 out.result.conflicts = core->stats().conflicts;
             }
             for (unsigned k = 0; k < members; ++k) {
-                if (sat::solver* core = team[k]->sat_core()) {
+                if (sat::solver* core = team[k]->sat_core())
                     out.total_conflicts += core->stats().conflicts;
-                    out.sharing.accumulate(core->stats());
-                }
             }
             return out;
         }
@@ -231,12 +200,9 @@ portfolio_outcome race(const backend_factory& factory, const portfolio_config& c
             cfg.threads == 0 ? std::min(members, default_concurrency()) : cfg.threads);
         pool = transient.get();
     }
-    if (cfg.sharing.deterministic) return race_rounds(factory, cfg, *pool, controls);
-    if (cfg.sharing.enabled) {
-        clause_pool exchange(cfg.sharing);
-        return race_free(factory, members, *pool, &exchange, controls);
-    }
-    return race_free(factory, members, *pool, nullptr, controls);
+    if (cfg.slice_conflicts != 0)
+        return race_rounds(factory, members, cfg.slice_conflicts, *pool, controls);
+    return race_free(factory, members, *pool, controls);
 }
 
 }  // namespace sciduction::substrate

@@ -12,26 +12,19 @@
 /// member wins; only the satisfying model (when one exists) depends on the
 /// winner.
 ///
-/// One entry point, `race`, runs three execution disciplines, picked by
-/// portfolio_config:
-///  * plain race       — free-running members, first answer wins (the
-///                       pre-sharing behaviour, byte-identical when sharing
-///                       is off);
-///  * shared race      — same, plus a clause_pool: members export short
-///                       learnt clauses and import each other's at restart
-///                       boundaries (sharing.enabled);
-///  * budgeted rounds  — members advance in fixed conflict-budget slices
-///                       with a barrier between rounds, exchanging clauses
-///                       there when sharing.enabled is also set
-///                       (sharing.deterministic): identical answers and
-///                       stats for 1 vs N threads.
+/// One entry point, `race`, runs two execution disciplines, picked by
+/// portfolio_config::slice_conflicts:
+///  * free race        — free-running members, first answer wins (0);
+///  * budgeted rounds  — members advance in fixed conflict slices with a
+///                       barrier between rounds (N > 0): identical answers
+///                       and stats for 1 vs N threads.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "substrate/backend.hpp"
-#include "substrate/clause_exchange.hpp"
 #include "substrate/thread_pool.hpp"
 
 namespace sciduction::substrate {
@@ -45,31 +38,24 @@ struct portfolio_config {
     /// thread count start only if an earlier member finishes without an
     /// answer.
     unsigned threads = 0;
-    /// Learnt-clause exchange between members. Off by default (legacy
-    /// behaviour); sharing.deterministic selects the budgeted-rounds
-    /// discipline, whose slice length is sharing.slice_conflicts.
-    sharing_config sharing{};
+    /// Conflicts each member runs per round: 0 races the members
+    /// free-running; N > 0 selects the budgeted-rounds discipline.
+    std::uint64_t slice_conflicts = 0;
 };
 
 /// Builds the member'th diversified instance of one problem. Member 0 must
 /// be the baseline configuration so a 1-member portfolio reproduces the
-/// single-solver behaviour exactly. With sharing enabled, every member must
-/// build the *identical* CNF with identical variable numbering (the replica
-/// contract): exported clauses are consequences of that shared CNF.
+/// single-solver behaviour exactly.
 using backend_factory = std::function<std::unique_ptr<solver_backend>(unsigned member)>;
 
-/// What a race returns: the winning answer plus aggregate cost/exchange
-/// counters over every member.
+/// What a race returns: the winning answer plus aggregate cost counters
+/// over every member.
 struct portfolio_outcome {
     backend_result result;     ///< first definite answer (winner's model if sat)
     unsigned winner = 0;       ///< member index that produced the answer
-    /// Total solver conflicts across all members — the scheduling-
-    /// independent cost metric the sharing benches compare (shared vs
-    /// unshared portfolios decide with fewer total conflicts).
+    /// Total solver conflicts across all members (scheduling-independent
+    /// in the budgeted rounds).
     std::uint64_t total_conflicts = 0;
-    /// Aggregated clause-exchange counters over all members (all zero when
-    /// sharing is off).
-    sharing_counters sharing{};
     /// Rounds driven (budgeted rounds only; 0 in the free races).
     std::uint64_t rounds = 0;
 };
@@ -82,7 +68,7 @@ struct portfolio_outcome {
 /// (set it and every member aborts; the race then answers unknown) and a
 /// per-member conflict budget (the budgeted-rounds driver checks it at its
 /// barriers; the free race arms each member's conflict-pause). In the
-/// budgeted rounds (cfg.sharing.deterministic) the winner is the
+/// budgeted rounds (cfg.slice_conflicts > 0) the winner is the
 /// lowest-indexed member that answers in the deciding round, which
 /// makes the full outcome — answer, model, stats — reproducible across
 /// thread counts.

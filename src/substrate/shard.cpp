@@ -105,13 +105,10 @@ void arm_budget(solver_backend& backend, std::uint64_t budget) {
 }
 
 /// Free-running scheduler: one task per sibling pair claimed off the pool.
-/// With `exchange != nullptr` the pairs additionally trade learnt clauses;
-/// answers stay deterministic, per-run stats become timing-dependent. An
-/// external cancel flag in `controls` doubles as the SAT race's own
+/// An external cancel flag in `controls` doubles as the SAT race's own
 /// cancellation line, so a caller setting it mid-solve aborts every pair.
 shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_plan& plan,
-                               thread_pool& pool, clause_pool* exchange,
-                               const solve_controls& controls) {
+                               thread_pool& pool, const solve_controls& controls) {
     shard_outcome out;
     out.stats.cubes = plan.cubes.size();
     out.cube_fates.assign(plan.cubes.size(), cube_status::pending);
@@ -133,12 +130,6 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
 
     const std::size_t pairs = (plan.cubes.size() + 1) / 2;
     std::vector<std::uint64_t> pair_conflicts(pairs, 0);
-    std::vector<sat::solver_stats> pair_stats(pairs);
-    if (exchange != nullptr) {
-        // Pair index == pool member id, assigned before any task runs so the
-        // ids are independent of worker scheduling.
-        for (std::size_t p = 0; p < pairs; ++p) exchange->register_member();
-    }
 
     // One task per sibling pair; parallel_for's claim loop is the refill —
     // idle workers keep pulling the next pair index until the tree is drained.
@@ -153,10 +144,6 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
         // learnt refuting its twin, and the pair's work is scheduling-
         // independent (the all-UNSAT determinism contract).
         auto backend = factory(pair);
-        if (exchange != nullptr) {
-            if (sat::solver* core = backend->sat_core())
-                exchange->attach(*core, static_cast<unsigned>(pair));
-        }
         arm_budget(*backend, controls.conflict_budget);
         obs::span slice(controls.trace, controls.trace_track, "pair#" + std::to_string(pair));
         slice.arg("query", controls.trace_query);
@@ -182,7 +169,6 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
             if (r.ans == answer::sat) {
                 settle(i, cube_status::satisfied);
                 for (std::size_t j = i + 1; j < last; ++j) settle(j, cube_status::skipped);
-                if (sat::solver* core = backend->sat_core()) pair_stats[pair] = core->stats();
                 sd::lock_guard lock(state.mutex);
                 if (!state.decided) {
                     state.decided = true;
@@ -201,7 +187,6 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
                     std::find(r.core.begin(), r.core.end(), split) == r.core.end();
             }
         }
-        if (sat::solver* core = backend->sat_core()) pair_stats[pair] = core->stats();
     });
 
     for (std::size_t i = 0; i < out.cube_fates.size(); ++i) {
@@ -213,7 +198,6 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
         }
     }
     for (std::uint64_t c : pair_conflicts) out.stats.conflicts += c;
-    for (const sat::solver_stats& s : pair_stats) out.stats.sharing.accumulate(s);
 
     {
         // parallel_for is a barrier, but the analysis cannot see that:
@@ -237,14 +221,13 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
     return out;
 }
 
-/// Deterministic-sharing scheduler: every pair holds a persistent solver
-/// and advances in fixed conflict slices; clauses are exchanged only at the
-/// round barriers (clause_pool::seal_round). Each pair's work in round r
-/// depends only on its own deterministic search plus the pool sealed at
-/// round r-1, so answers, per-cube fates and stats are identical for any
-/// thread count. A SAT answer is resolved at the barrier in pair order.
+/// Sliced scheduler: every pair holds a persistent solver and advances in
+/// fixed conflict slices, with a barrier between rounds. Each pair's work
+/// in round r depends only on its own deterministic search, so answers,
+/// per-cube fates and stats are identical for any thread count. A SAT
+/// answer is resolved at the barrier in pair order.
 shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cube_plan& plan,
-                                 thread_pool& pool, const sharing_config& sharing,
+                                 thread_pool& pool, std::uint64_t slice,
                                  const solve_controls& controls) {
     shard_outcome out;
     out.stats.cubes = plan.cubes.size();
@@ -255,11 +238,7 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
             controls.progress->done.fetch_add(1, std::memory_order_relaxed);
     };
 
-    clause_pool exchange(sharing);
-    exchange.ban_vars(plan.split_vars);
     const std::size_t pairs = (plan.cubes.size() + 1) / 2;
-    const std::uint64_t slice =
-        sharing.slice_conflicts == 0 ? default_slice_conflicts : sharing.slice_conflicts;
 
     struct pair_task {
         std::unique_ptr<solver_backend> backend;
@@ -278,9 +257,6 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
         tasks[p].first = 2 * p;
         tasks[p].last = std::min(2 * p + 2, plan.cubes.size());
         tasks[p].next = tasks[p].first;
-        exchange.register_member();
-        if (sat::solver* core = tasks[p].backend->sat_core())
-            exchange.attach(*core, static_cast<unsigned>(p));
     }
 
     bool any_sat = false;
@@ -322,7 +298,7 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
             if (core != nullptr) core->set_conflict_pause(0);
             if (t.next >= t.last) t.done = true;
         };
-        // Round numbers are the deterministic discipline's logical clock;
+        // Round numbers are the sliced discipline's logical clock;
         // the span makes them visible without perturbing the barrier.
         obs::span round_span(controls.trace, controls.trace_track,
                              "round#" + std::to_string(out.stats.rounds));
@@ -330,7 +306,6 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
         round_span.arg("round", out.stats.rounds);
         pool.parallel_for(pairs, run_pair);
         round_span.end();
-        exchange.seal_round();
         // Barrier resolution, in pair order (deterministic).
         for (std::size_t p = 0; p < pairs; ++p) {
             if (tasks[p].found_sat && !any_sat) {
@@ -371,10 +346,8 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
             for (std::size_t i = t.next; i < t.last; ++i)
                 if (out.cube_fates[i] == cube_status::pending) settle(i, cube_status::skipped);
         }
-        if (sat::solver* core = t.backend->sat_core()) {
+        if (sat::solver* core = t.backend->sat_core())
             out.stats.conflicts += core->stats().conflicts;
-            out.stats.sharing.accumulate(core->stats());
-        }
     }
     for (std::size_t i = 0; i < out.cube_fates.size(); ++i) {
         switch (out.cube_fates[i]) {
@@ -397,7 +370,7 @@ shard_outcome solve_cubes_rounds(const indexed_shard_factory& factory, const cub
 }  // namespace
 
 shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan& plan,
-                          thread_pool& pool, const sharing_config& sharing,
+                          thread_pool& pool, std::uint64_t slice_conflicts,
                           const solve_controls& controls) {
     if (plan.root_unsat) {
         shard_outcome out;
@@ -406,14 +379,9 @@ shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan&
         out.result.ans = answer::unsat;
         return out;
     }
-    if (sharing.enabled && sharing.deterministic)
-        return solve_cubes_rounds(factory, plan, pool, sharing, controls);
-    if (sharing.enabled) {
-        clause_pool exchange(sharing);
-        exchange.ban_vars(plan.split_vars);
-        return solve_cubes_free(factory, plan, pool, &exchange, controls);
-    }
-    return solve_cubes_free(factory, plan, pool, nullptr, controls);
+    if (slice_conflicts != 0)
+        return solve_cubes_rounds(factory, plan, pool, slice_conflicts, controls);
+    return solve_cubes_free(factory, plan, pool, controls);
 }
 
 }  // namespace sciduction::substrate

@@ -17,15 +17,18 @@
 /// all-UNSAT trees the full shard_stats are deterministic too — the
 /// scheduler's unit of work is a *sibling pair* solved sequentially on one
 /// incremental solver instance, so the per-pair work is independent of
-/// thread count and scheduling order. SAT races only promise a model
-/// satisfying the query; which cube wins is timing-dependent.
+/// thread count and scheduling order. The free scheduler's SAT races only
+/// promise a model satisfying the query; which cube wins is
+/// timing-dependent. The sliced scheduler (budgeted rounds) resolves SAT
+/// at its round barriers in pair order, so there the winning cube and
+/// model are reproducible too.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "substrate/backend.hpp"
-#include "substrate/clause_exchange.hpp"
 #include "substrate/thread_pool.hpp"
 
 namespace sciduction::substrate {
@@ -77,10 +80,7 @@ struct shard_stats {
     std::size_t pruned = 0;       ///< cubes refuted for free by a sibling's core
     std::size_t skipped = 0;      ///< cubes abandoned after a SAT race win
     std::uint64_t conflicts = 0;  ///< total solver conflicts across all cube runs
-    /// Aggregated clause-exchange counters across all sibling pairs (all
-    /// zero when sharing is off).
-    sharing_counters sharing{};
-    /// Exchange rounds driven (deterministic sharing only; 0 otherwise).
+    /// Rounds driven (sliced scheduler only; 0 in the free one).
     std::uint64_t rounds = 0;
 
     /// Field-wise equality (the determinism tests compare whole snapshots).
@@ -114,25 +114,21 @@ using indexed_shard_factory = std::function<std::unique_ptr<solver_backend>(std:
 /// SAT cube cancels everything else; all-UNSAT aggregates deterministically
 /// (see the header comment's determinism contract).
 ///
-/// With `sharing.enabled`, sibling pairs exchange learnt clauses through a
-/// shared pool: each pair exports its short, low-LBD clauses — filtered
-/// core-clean, i.e. mentioning no split variable, so a clause learnt under
-/// one cube is meaningful (and already sound: learnt clauses are formula
-/// consequences) in every other — and imports the other pairs' clauses at
-/// cube boundaries and restart boundaries. Free-running sharing keeps
-/// answers deterministic but makes shard_stats timing-dependent;
-/// `sharing.deterministic` switches to conflict-budgeted rounds with
-/// exchange barriers, restoring the full stats determinism contract at the
-/// cost of persistent per-pair solver instances and round latency.
+/// `slice_conflicts` picks the scheduler: 0 runs each pair free to
+/// completion; N > 0 gives every pair a persistent solver that advances N
+/// conflicts per round, with a barrier between rounds. The sliced
+/// scheduler makes the whole outcome reproducible across thread counts,
+/// and its barriers are the points where a shared pool can hand its
+/// workers to other work.
 ///
 /// `controls` carries the external control lines: a cooperative cancel
 /// flag (set it and every pair aborts; undecided cubes are marked skipped
 /// and the outcome answers unknown), a progress line whose `done` count is
 /// bumped once per settled cube, and a per-pair conflict budget (armed as
 /// a conflict-pause on the free scheduler, checked at the round barriers
-/// of the deterministic one).
+/// of the sliced one).
 shard_outcome solve_cubes(const indexed_shard_factory& factory, const cube_plan& plan,
-                          thread_pool& pool, const sharing_config& sharing = {},
+                          thread_pool& pool, std::uint64_t slice_conflicts = 0,
                           const solve_controls& controls = {});
 
 }  // namespace sciduction::substrate

@@ -60,10 +60,10 @@ strategy strategy::overriding(strategy pick) const {
     if (members) pick.members = members;
     if (depth) pick.depth = depth;
     if (probe_candidates) pick.probe_candidates = probe_candidates;
-    if (sharing) pick.sharing = sharing;
     if (features) pick.features = features;
     if (use_cache) pick.use_cache = use_cache;
     pick.conflict_budget = conflict_budget;
+    pick.slice_conflicts = slice_conflicts;
     pick.time_budget_ms = time_budget_ms;
     return pick;
 }
@@ -74,10 +74,10 @@ resolved_strategy strategy::resolve() const {
     if (members) r.members = *members;
     if (depth) r.depth = *depth;
     if (probe_candidates) r.probe_candidates = *probe_candidates;
-    if (sharing) r.sharing = *sharing;
     if (features) r.features = *features;
     if (use_cache) r.use_cache = *use_cache;
     r.conflict_budget = conflict_budget;
+    r.slice_conflicts = slice_conflicts;
     r.time_budget_ms = time_budget_ms;
     // Normalize degenerate combinations: a 1-member portfolio and a shard
     // of no split variables *are* single solves. `automatic` keeps its
@@ -96,10 +96,6 @@ std::string strategy::validate() const {
         return "strategy.depth must be <= 12 (the cube generator's clamp)";
     if (probe_candidates && *probe_candidates == 0)
         return "strategy.probe_candidates must be >= 1";
-    if (sharing && sharing->enabled && sharing->max_clause_size == 0)
-        return "sharing.max_clause_size must be >= 1 when sharing is enabled";
-    if (sharing && sharing->enabled && sharing->slice_conflicts == 0)
-        return "sharing.slice_conflicts must be >= 1 when sharing is enabled";
     return {};
 }
 
@@ -131,7 +127,7 @@ dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_bac
     dispatch_outcome out;
     if (rs.kind == strategy_kind::portfolio) {
         const portfolio_config pcfg{
-            .members = rs.members, .threads = threads, .sharing = rs.sharing};
+            .members = rs.members, .threads = threads, .slice_conflicts = rs.slice_conflicts};
         auto factory = [&](unsigned member) -> std::unique_ptr<solver_backend> {
             if (member == 0 && prototype) return std::move(prototype);
             return make(member, sat::apply_features(diversified_options(member), rs.features));
@@ -140,7 +136,6 @@ dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_bac
         out.result = std::move(race_out.result);
         out.winner = race_out.winner;
         out.total_conflicts = race_out.total_conflicts;
-        out.sharing = race_out.sharing;
         out.rounds = race_out.rounds;
         out.instances = rs.members;
         return out;
@@ -166,10 +161,9 @@ dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_bac
                 replicas.fetch_add(1, std::memory_order_relaxed);
                 return make(0, baseline);
             },
-            plan, *pool, rs.sharing, controls);
+            plan, *pool, rs.slice_conflicts, controls);
         out.result = std::move(shard_out.result);
         out.total_conflicts = shard_out.stats.conflicts;
-        out.sharing = shard_out.stats.sharing;
         out.rounds = shard_out.stats.rounds;
         out.shard = shard_out.stats;
         out.instances = replicas.load(std::memory_order_relaxed);

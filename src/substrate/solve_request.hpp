@@ -3,12 +3,11 @@
 /// deductive query *and* how to decide it.
 ///
 /// A `solve_request` is data: the assertions plus a composable `strategy`
-/// descriptor — `automatic | single | portfolio | shard` with sharing,
-/// determinism, conflict/time budgets and cache policy as per-request
-/// fields. `smt_engine::submit`
-/// (engine.hpp) is the one entry point consuming it; `solve_cnf` below is
-/// the CNF-level analogue for workloads (invgen) that build clauses
-/// directly instead of terms. Both decide every instance through the one
+/// descriptor — `automatic | single | portfolio | shard` with the conflict
+/// slice, conflict/time budgets and cache policy as per-request fields.
+/// `smt_engine::submit` (engine.hpp) is the one entry point consuming it;
+/// `solve_cnf` below is the CNF-level analogue for workloads (invgen) that
+/// build clauses directly instead of terms. Both decide every instance through the one
 /// dispatcher declared here: `classify` resolves an `automatic` request
 /// on its prototype instance, and `execute` runs the resolved strategy.
 ///
@@ -22,7 +21,6 @@
 
 #include "sat/dimacs.hpp"
 #include "substrate/backend.hpp"
-#include "substrate/clause_exchange.hpp"
 #include "substrate/shard.hpp"
 
 namespace sciduction::substrate {
@@ -47,10 +45,10 @@ struct resolved_strategy {
     unsigned members = 4;            ///< portfolio members (kind portfolio)
     unsigned depth = 3;              ///< cube split depth (kind shard)
     unsigned probe_candidates = 16;  ///< lookahead probes per cube generation
-    sharing_config sharing{};        ///< learnt-clause exchange knobs
     sat::solver_features features{}; ///< CDCL feature toggles (reduction/inprocessing)
     bool use_cache = true;           ///< consult/populate the query cache
     std::uint64_t conflict_budget = 0;  ///< per-instance conflict cap (0 = unlimited)
+    std::uint64_t slice_conflicts = 0;  ///< budgeted-rounds slice (0 = free-running)
     std::uint64_t time_budget_ms = 0;   ///< await-side wall-clock cap (0 = unlimited)
 };
 
@@ -78,10 +76,6 @@ struct strategy {
     std::optional<unsigned> depth;
     /// Lookahead probes per cube generation (unset = 16).
     std::optional<unsigned> probe_candidates;
-    /// Learnt-clause exchange knobs, incl. `sharing_config::deterministic`,
-    /// which also puts a portfolio on reproducible budgeted rounds (unset =
-    /// no exchange).
-    std::optional<sharing_config> sharing;
     /// CDCL feature toggles — Glucose clause-DB reduction and restart-
     /// boundary inprocessing (`sat::solver_features`). Applied on top of
     /// every instance's options (including diversified portfolio members),
@@ -96,6 +90,13 @@ struct strategy {
     /// Conflict budget per solver instance; exhausting it yields
     /// answer::unknown. 0 = unlimited.
     std::uint64_t conflict_budget = 0;
+    /// Conflicts per portfolio member or shard sibling pair per round: N > 0
+    /// runs the budgeted-rounds schedulers, whose outcome is identical at
+    /// every thread count and whose round barriers let a shared pool
+    /// preempt the solve; 0 runs them free-running. `single` ignores it,
+    /// and `auto_select` never sets it: an `automatic` request's slice
+    /// applies to whichever kind the classifier picks.
+    std::uint64_t slice_conflicts = 0;
     /// Wall-clock budget enforced at `query_handle::get()`: on expiry the
     /// solve is cooperatively cancelled and the handle yields
     /// answer::unknown. 0 = unlimited.
@@ -121,21 +122,22 @@ struct strategy {
     /// Applies this request's explicitly-set fields over a classifier
     /// pick and returns the combined strategy — the precedence rule
     /// "request field > classifier pick" (defaults apply at resolve
-    /// time); budgets always copy from the request. `classify` routes
-    /// through this.
+    /// time); budgets and the slice always copy from the request.
+    /// `classify` routes through this.
     [[nodiscard]] strategy overriding(strategy pick) const;
 
     /// Resolves this request against the library defaults: unset optionals
     /// take `resolved_strategy`'s initializers, set fields override,
-    /// budgets copy through. Degenerate combinations normalize to `single`
-    /// (a 1-member portfolio, a shard of explicit depth 0). `automatic`
+    /// budgets and the slice copy through. Degenerate combinations
+    /// normalize to `single` (a 1-member portfolio, a shard of explicit
+    /// depth 0). `automatic`
     /// resolves its *fields* but keeps its kind — `classify` picks the
     /// kind once the prototype instance exists.
     [[nodiscard]] resolved_strategy resolve() const;
 
     /// Checks the explicitly-set fields for nonsense the resolve/clamp
     /// machinery would otherwise paper over (a 0-member portfolio, a cube
-    /// depth beyond the generator's clamp, sharing that can never share).
+    /// depth beyond the generator's clamp, a 0-probe lookahead).
     /// Returns an explanation, or empty when valid. `smt_engine::submit`
     /// and the daemon's admission both call this and report failures as
     /// solve_status::malformed instead of throwing.
@@ -185,9 +187,8 @@ struct dispatch_outcome {
     backend_result result;      ///< the verdict (winner's model if sat)
     unsigned winner = 0;        ///< portfolio member that answered (kind portfolio)
     std::uint64_t total_conflicts = 0;  ///< conflicts across all instances
-    sharing_counters sharing{};         ///< aggregated exchange counters
     shard_stats shard;                  ///< shard work breakdown (kind shard)
-    std::uint64_t rounds = 0;     ///< budgeted-discipline exchange rounds
+    std::uint64_t rounds = 0;     ///< budgeted rounds driven (0 when free-running)
     std::uint64_t instances = 0;  ///< runs: 1, the members, or the shard replicas built
 };
 

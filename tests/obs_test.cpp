@@ -212,9 +212,7 @@ TEST(trace_determinism, deterministic_portfolio_is_bit_identical_with_tracing_on
     auto run = [](unsigned threads, obs::trace_collector* tc) {
         substrate::portfolio_config cfg;
         cfg.members = 4;
-        cfg.sharing.enabled = true;
-        cfg.sharing.deterministic = true;
-        cfg.sharing.slice_conflicts = 300;
+        cfg.slice_conflicts = 300;
         substrate::solve_controls controls;
         controls.trace = tc;
         if (tc != nullptr) controls.trace_track = tc->register_track("t");
@@ -229,7 +227,6 @@ TEST(trace_determinism, deterministic_portfolio_is_bit_identical_with_tracing_on
         EXPECT_EQ(traced.winner, plain.winner);
         EXPECT_EQ(traced.rounds, plain.rounds);
         EXPECT_EQ(traced.total_conflicts, plain.total_conflicts);
-        EXPECT_TRUE(traced.sharing == plain.sharing);
         EXPECT_FALSE(tc.events().empty()) << "tracing must actually record member spans";
     }
 }
@@ -239,10 +236,6 @@ TEST(trace_determinism, deterministic_shard_is_bit_identical_with_tracing_on) {
     encode_pigeonhole(probe, 7);
     const substrate::cube_plan plan =
         substrate::generate_cubes(probe, {.depth = 2, .probe_candidates = 8});
-    substrate::sharing_config share;
-    share.enabled = true;
-    share.deterministic = true;
-    share.slice_conflicts = 300;
     auto run = [&](unsigned threads, obs::trace_collector* tc) {
         substrate::solve_controls controls;
         controls.trace = tc;
@@ -254,7 +247,7 @@ TEST(trace_determinism, deterministic_shard_is_bit_identical_with_tracing_on) {
                 encode_pigeonhole(b->solver(), 7);
                 return std::unique_ptr<substrate::solver_backend>(std::move(b));
             },
-            plan, pool, share, controls);
+            plan, pool, /*slice_conflicts=*/300, controls);
     };
     const substrate::shard_outcome plain = run(1, nullptr);
     for (unsigned threads : {1u, 4u}) {

@@ -4,6 +4,7 @@
 
 #include "sat/dimacs.hpp"
 #include "sat/gates.hpp"
+#include "sat/pigeonhole.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
 
@@ -185,6 +186,46 @@ TEST(sat_solver, conflict_budget_gives_unknown) {
     EXPECT_TRUE(s.budget_exhausted());
     EXPECT_FALSE(s.interrupted());
     EXPECT_FALSE(s.paused());
+}
+
+TEST(sat_solver, conflict_pause_preserves_state_and_resumes_to_same_answer) {
+    solver plain;
+    encode_pigeonhole(plain, 6);
+    ASSERT_EQ(plain.solve(), solve_result::unsat);
+
+    solver paused;
+    encode_pigeonhole(paused, 6);
+    std::uint64_t slices = 0;
+    solve_result r = solve_result::unknown;
+    while (r == solve_result::unknown) {
+        paused.set_conflict_pause(paused.stats().conflicts + 200);
+        r = paused.solve();
+        ++slices;
+        ASSERT_LT(slices, 1000u) << "paused solve must converge";
+    }
+    paused.set_conflict_pause(0);
+    EXPECT_EQ(r, solve_result::unsat);
+    EXPECT_GT(slices, 1u) << "PHP-6 takes >200 conflicts, so at least one pause";
+}
+
+TEST(sat_solver, track_lbd_accumulates_without_changing_search) {
+    solver plain;
+    encode_pigeonhole(plain, 6);
+    ASSERT_EQ(plain.solve(), solve_result::unsat);
+    EXPECT_EQ(plain.stats().lbd_sum, 0u);  // LBD tracking off by default
+
+    solver tracked;
+    solver_options opts;
+    opts.track_lbd = true;
+    tracked.set_options(opts);
+    encode_pigeonhole(tracked, 6);
+    ASSERT_EQ(tracked.solve(), solve_result::unsat);
+
+    EXPECT_GT(tracked.stats().lbd_sum, 0u);
+    // Identical search: only the LBD bookkeeping differs.
+    EXPECT_EQ(plain.stats().conflicts, tracked.stats().conflicts);
+    EXPECT_EQ(plain.stats().decisions, tracked.stats().decisions);
+    EXPECT_EQ(plain.stats().propagations, tracked.stats().propagations);
 }
 
 // ---- gate encoder ----------------------------------------------------------------

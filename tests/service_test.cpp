@@ -60,10 +60,10 @@ struct daemon {
 /// Unbounded on purpose — every test that submits it either cancels it or
 /// lets a daemon mechanism (deadline, disconnect, drain) resolve it, so
 /// assertions never race against how fast the solver happens to be.
-/// Deterministic sharing selects the sliced rounds scheduler, whose
-/// round barriers are the pool's preemption points: a worker leaves the
-/// greedy job for other lanes at most one conflict slice after competing
-/// work arrives.
+/// A conflict slice selects the sliced rounds scheduler, whose round
+/// barriers are the pool's preemption points: a worker leaves the greedy
+/// job for other lanes at most one conflict slice after competing work
+/// arrives.
 substrate::solve_request greedy_request(smt::term_manager& tm) {
     smt::term x = tm.mk_bv_var("gx", 12);
     smt::term y = tm.mk_bv_var("gy", 12);
@@ -73,11 +73,7 @@ substrate::solve_request greedy_request(smt::term_manager& tm) {
                        tm.mk_bvadd(tm.mk_bvmul(x, y), tm.mk_bvmul(x, y)))};
     req.strategy = substrate::strategy::shard(2);
     req.strategy.use_cache = false;
-    substrate::sharing_config sharing;
-    sharing.enabled = true;
-    sharing.deterministic = true;
-    sharing.slice_conflicts = 1000;
-    req.strategy.sharing = sharing;
+    req.strategy.slice_conflicts = 1000;
     return req;
 }
 
@@ -282,9 +278,9 @@ struct raw_socket {
     int fd = -1;
 };
 
-std::vector<std::uint8_t> hello_frame() {
+std::vector<std::uint8_t> hello_frame(std::uint32_t version = protocol_version) {
     wire_writer w;
-    w.u32(protocol_version);
+    w.u32(version);
     w.str("raw");
     w.u32(1);
     return pack_frame({op::hello, w.take()});
@@ -314,6 +310,17 @@ TEST(service_protocol, oversized_frame_draws_error_and_close) {
     std::vector<std::uint8_t> bytes;
     for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(huge >> (8 * i)));
     raw.send(bytes);
+    EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::error));
+    EXPECT_EQ(raw.read_opcode(), 0u);  // daemon closed the connection
+}
+
+TEST(service_protocol, previous_version_hello_draws_error_and_close) {
+    // A v3 client would send the strategy block's removed sharing field;
+    // the hello version check refuses it before any submit is parsed.
+    daemon d({.socket_path = {}, .threads = 1});
+    raw_socket raw(d.config.socket_path);
+    ASSERT_GE(raw.fd, 0);
+    raw.send(hello_frame(protocol_version - 1));
     EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::error));
     EXPECT_EQ(raw.read_opcode(), 0u);  // daemon closed the connection
 }
@@ -377,19 +384,13 @@ TEST(service_codec, strategy_block_round_trips_each_kind_and_presence_bit) {
     depth.depth = 3;
     substrate::strategy probes;
     probes.probe_candidates = 9;
-    substrate::strategy sharing;
-    sharing.sharing = substrate::sharing_config{.enabled = true,
-                                                .deterministic = true,
-                                                .max_clause_size = 12,
-                                                .max_lbd = 7,
-                                                .slice_conflicts = 321,
-                                                .max_import_per_checkpoint = 5};
     substrate::strategy use_cache;
     use_cache.use_cache = false;
     substrate::strategy features;
     features.features = sat::solver_features{.reduce = true, .inprocess = true};
-    for (substrate::strategy s : {members, depth, probes, sharing, use_cache, features}) {
+    for (substrate::strategy s : {members, depth, probes, use_cache, features}) {
         s.conflict_budget = 77;
+        s.slice_conflicts = 321;
         s.time_budget_ms = 88;
         const substrate::strategy got = round_trip(s);
         EXPECT_EQ(got.kind, substrate::strategy_kind::automatic);
@@ -398,17 +399,8 @@ TEST(service_codec, strategy_block_round_trips_each_kind_and_presence_bit) {
         EXPECT_EQ(got.probe_candidates, s.probe_candidates);
         EXPECT_EQ(got.use_cache, s.use_cache);
         EXPECT_EQ(got.features, s.features);
-        ASSERT_EQ(got.sharing.has_value(), s.sharing.has_value());
-        if (s.sharing) {
-            EXPECT_EQ(got.sharing->enabled, s.sharing->enabled);
-            EXPECT_EQ(got.sharing->deterministic, s.sharing->deterministic);
-            EXPECT_EQ(got.sharing->max_clause_size, s.sharing->max_clause_size);
-            EXPECT_EQ(got.sharing->max_lbd, s.sharing->max_lbd);
-            EXPECT_EQ(got.sharing->slice_conflicts, s.sharing->slice_conflicts);
-            EXPECT_EQ(got.sharing->max_import_per_checkpoint,
-                      s.sharing->max_import_per_checkpoint);
-        }
         EXPECT_EQ(got.conflict_budget, 77u);
+        EXPECT_EQ(got.slice_conflicts, 321u);
         EXPECT_EQ(got.time_budget_ms, 88u);
     }
 }
@@ -416,9 +408,9 @@ TEST(service_codec, strategy_block_round_trips_each_kind_and_presence_bit) {
 TEST(service_codec, strategy_block_rejects_unknown_kind_and_presence_bits) {
     smt::term_manager tm;
     const std::vector<std::uint8_t> payload = encode_submit(tm, 1, tiny_request(tm, 3));
-    // With no optional fields the block is the payload's last 18 bytes:
-    // kind, presence mask, conflict budget, time budget.
-    const std::size_t kind_at = payload.size() - 18;
+    // With no optional fields the block is the payload's last 26 bytes:
+    // kind, presence mask, conflict budget, conflict slice, time budget.
+    const std::size_t kind_at = payload.size() - 26;
     const std::size_t mask_at = kind_at + 1;
     auto decode_patched = [&](std::size_t at, std::uint8_t byte) {
         std::vector<std::uint8_t> patched = payload;
@@ -429,6 +421,7 @@ TEST(service_codec, strategy_block_rejects_unknown_kind_and_presence_bits) {
     EXPECT_NO_THROW(decode_patched(kind_at, payload[kind_at]));
     EXPECT_THROW(decode_patched(kind_at, 4), wire_error);       // one past shard
     EXPECT_THROW(decode_patched(mask_at, 1u << 1), wire_error);  // unassigned
+    EXPECT_THROW(decode_patched(mask_at, 1u << 4), wire_error);  // unassigned (v4)
     EXPECT_THROW(decode_patched(mask_at, 1u << 7), wire_error);  // never assigned
 }
 

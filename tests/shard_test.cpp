@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -10,6 +11,7 @@
 #include "ir/transform.hpp"
 #include "ogis/benchmarks.hpp"
 #include "sat/pigeonhole.hpp"
+#include "cnf_fuzz.hpp"
 #include "engine_test_util.hpp"
 #include "substrate/engine.hpp"
 #include "substrate/shard.hpp"
@@ -89,7 +91,8 @@ TEST(cube_generation, refuted_root_detected) {
 
 // ---- shard scheduler --------------------------------------------------------
 
-shard_outcome shard_pigeonhole(int holes, unsigned depth, unsigned threads) {
+shard_outcome shard_pigeonhole(int holes, unsigned depth, unsigned threads,
+                               std::uint64_t slice_conflicts = 0) {
     sat::solver prototype;
     encode_pigeonhole(prototype, holes);
     cube_plan plan = generate_cubes(prototype, {.depth = depth, .probe_candidates = 8});
@@ -100,7 +103,7 @@ shard_outcome shard_pigeonhole(int holes, unsigned depth, unsigned threads) {
             encode_pigeonhole(backend->solver(), holes);
             return backend;
         },
-        plan, pool);
+        plan, pool, slice_conflicts);
 }
 
 TEST(shard, all_unsat_answers_and_stats_deterministic_across_thread_counts) {
@@ -114,10 +117,63 @@ TEST(shard, all_unsat_answers_and_stats_deterministic_across_thread_counts) {
     EXPECT_EQ(four.winning_cube, shard_outcome::no_cube);
     EXPECT_EQ(one.stats, four.stats);
     EXPECT_EQ(one.cube_fates, four.cube_fates);
-    // Every cube is accounted for, none skipped; sharing off exchanges nothing.
+    // Every cube is accounted for, none skipped; the free scheduler drives
+    // no rounds.
     EXPECT_EQ(one.stats.refuted + one.stats.pruned, one.stats.cubes);
     EXPECT_EQ(one.stats.skipped, 0u);
-    EXPECT_TRUE(one.stats.sharing == sharing_counters{});
+    EXPECT_EQ(one.stats.rounds, 0u);
+}
+
+TEST(shard, sliced_rounds_identical_across_thread_counts) {
+    // slice_conflicts > 0 runs the sliced scheduler: pairs advance in
+    // rounds of N conflicts, and a SAT cube is resolved at the barrier in
+    // pair order. The whole outcome is then identical at any pool width,
+    // for a satisfiable tree (winning cube and model included) as well as
+    // an all-UNSAT one. The sat tree is seeded random 3-SAT below the
+    // threshold ratio: satisfiable, and at 10 conflicts a slice its
+    // depth-2 tree takes 15 rounds.
+    test::fuzz_cnf cnf;
+    cnf.num_vars = 100;
+    util::rng r;
+    r.reseed(1);
+    for (int i = 0; i < 410; ++i)
+        cnf.clauses.push_back(test::detail::random_clause(r, cnf.num_vars, 3));
+    auto run_sat = [&](unsigned threads) {
+        sat::solver prototype;
+        cnf.load_into(prototype);
+        cube_plan plan = generate_cubes(prototype, {.depth = 2, .probe_candidates = 8});
+        thread_pool pool(threads);
+        return solve_cubes(
+            [&](std::size_t) {
+                auto backend = std::make_unique<sat_backend>();
+                cnf.load_into(backend->solver());
+                return backend;
+            },
+            plan, pool, /*slice_conflicts=*/10);
+    };
+    const shard_outcome one = run_sat(1);
+    const shard_outcome four = run_sat(4);
+    ASSERT_TRUE(one.result.is_sat());
+    ASSERT_TRUE(four.result.is_sat());
+    EXPECT_GE(one.stats.rounds, 2u) << "the slice must cut the search into rounds";
+    EXPECT_EQ(one.winning_cube, four.winning_cube);
+    EXPECT_EQ(one.cube_fates, four.cube_fates);
+    EXPECT_EQ(one.stats, four.stats);
+    EXPECT_EQ(one.result.sat_model, four.result.sat_model);
+    auto holds = [&](sat::lit l) {
+        const sat::lbool v = one.result.sat_model[static_cast<std::size_t>(sat::var_of(l))];
+        return (v == sat::lbool::l_true) != sat::sign_of(l);
+    };
+    for (const sat::clause_lits& c : cnf.clauses)
+        EXPECT_TRUE(std::any_of(c.begin(), c.end(), holds)) << "the model must satisfy the CNF";
+
+    const shard_outcome unsat_one = shard_pigeonhole(7, 2, 1, /*slice_conflicts=*/300);
+    const shard_outcome unsat_four = shard_pigeonhole(7, 2, 4, /*slice_conflicts=*/300);
+    EXPECT_TRUE(unsat_one.result.is_unsat());
+    EXPECT_TRUE(unsat_four.result.is_unsat());
+    EXPECT_GE(unsat_one.stats.rounds, 2u);
+    EXPECT_EQ(unsat_one.stats, unsat_four.stats);
+    EXPECT_EQ(unsat_one.cube_fates, unsat_four.cube_fates);
 }
 
 TEST(shard, sat_race_returns_model_satisfying_all_clauses) {
@@ -202,6 +258,32 @@ TEST(engine_shard, sat_model_valid_under_any_thread_count) {
         auto result = solve_sharded(engine, {feasible}, 3);
         ASSERT_TRUE(result.is_sat()) << "threads " << threads;
         EXPECT_EQ(eval_model(tm, feasible, result.model), 1u);
+    }
+}
+
+TEST(engine_shard, sliced_shard_matches_plain_check) {
+    smt::term_manager tm;
+    smt::term x = tm.mk_bv_var("x", 16);
+    smt::term y = tm.mk_bv_var("y", 16);
+    std::vector<smt::term> assertions = {
+        tm.mk_eq(tm.mk_bvmul(x, y), tm.mk_bv_const(16, 143)),
+        tm.mk_ult(tm.mk_bv_const(16, 1), x),
+        tm.mk_ult(x, tm.mk_bv_const(16, 100)),
+    };
+    smt_engine plain(tm, {});
+    backend_result expect = solve_single(plain, assertions);
+
+    strategy sliced = strategy::shard(2);
+    sliced.slice_conflicts = 200;
+    smt_engine sharded(tm, {.threads = 2});
+    query_handle handle = sharded.submit({assertions, {}, sliced});
+    backend_result got = handle.get();
+    EXPECT_EQ(got.ans, expect.ans);
+    EXPECT_EQ(handle.stats().strategy.slice_conflicts, 200u);
+    EXPECT_GT(handle.stats().shard.rounds, 0u);
+    if (got.is_sat()) {
+        model_evaluator eval(tm, got.model);
+        EXPECT_EQ(eval.value(tm.mk_bvmul(x, y)), 143u);
     }
 }
 
@@ -348,34 +430,6 @@ TEST(application_routing, gametime_sharded_wcet_matches_plain) {
     EXPECT_EQ(sharded.stats().dispatched.shard, 1u);
 }
 
-TEST(application_routing, gametime_sharded_wcet_with_sharing_matches_plain) {
-    // Same path, but the shard's sibling pairs exchange core-clean learnt
-    // clauses (deterministic discipline). The verdict must be unchanged —
-    // sharing only redistributes proof work.
-    ir::program p = ir::parse_program(modexp_src);
-    ir::function f = ir::resolve_static_branches(
-        ir::unroll_loops(*p.find_function("modexp")), p.width);
-    ir::cfg g = ir::cfg::build(p, f);
-
-    smt::term_manager tm_basis;
-    substrate::smt_engine basis_engine(tm_basis);
-    gametime::basis_info basis = gametime::extract_basis_paths(g, basis_engine);
-    gametime::sarm_platform platform(p, f);
-    gametime::timing_model model = gametime::learn_timing_model(basis, platform);
-    smt::term_manager tm_plain;
-    substrate::smt_engine plain(tm_plain);
-    auto expected = gametime::predict_wcet(g, model, plain);
-    ASSERT_TRUE(expected.has_value());
-
-    strategy shared_shard = strategy::shard(2);
-    shared_shard.sharing =
-        sharing_config{.enabled = true, .deterministic = true, .slice_conflicts = 200};
-    smt::term_manager tm_shared;
-    substrate::smt_engine shared(tm_shared, {.threads = 2});
-    EXPECT_TRUE(ir::feasible_path_witness_with(g, expected->longest, shared, shared_shard));
-    EXPECT_EQ(shared.stats().dispatched.shard, 1u);
-}
-
 TEST(application_routing, invgen_sharded_step_proof_matches_sequential) {
     aig::aig circuit;
     auto a = circuit.add_latch(true);
@@ -399,17 +453,6 @@ TEST(application_routing, invgen_sharded_step_proof_matches_sequential) {
                                                      {.shard_depth = 2, .shard_threads = 2});
     EXPECT_EQ(seq_loose, shard_loose);
     EXPECT_FALSE(shard_loose);
-
-    // With pair-to-pair clause sharing on the inductive step, the verdicts
-    // are still identical (sharing is sound: learnt clauses are formula
-    // consequences).
-    invgen::proof_config sharing_cfg;
-    sharing_cfg.shard_depth = 2;
-    sharing_cfg.shard_threads = 2;
-    sharing_cfg.sharing.enabled = true;
-    sharing_cfg.sharing.deterministic = true;
-    EXPECT_TRUE(invgen::prove_with_invariants(circuit, a, result.proven, sharing_cfg));
-    EXPECT_FALSE(invgen::prove_with_invariants(loose, l, {}, sharing_cfg));
 }
 
 TEST(application_routing, ogis_overlapped_pipeline_synthesizes_correct_program) {

@@ -27,21 +27,21 @@ TEST(strategy_resolution, unset_fields_take_the_library_defaults) {
     EXPECT_EQ(r.members, 4u);
     EXPECT_EQ(r.depth, 3u);
     EXPECT_EQ(r.probe_candidates, 16u);
-    EXPECT_FALSE(r.sharing.enabled);
+    EXPECT_EQ(r.slice_conflicts, 0u);
     EXPECT_TRUE(r.use_cache);
     EXPECT_EQ(strategy::shard().resolve().kind, strategy_kind::shard);
 }
 
 TEST(strategy_resolution, per_request_fields_override_defaults) {
     strategy s = strategy::portfolio(8);
-    s.sharing = sharing_config{.enabled = true};
     s.use_cache = false;
     s.conflict_budget = 123;
+    s.slice_conflicts = 456;
     resolved_strategy r = s.resolve();
     EXPECT_EQ(r.members, 8u);
-    EXPECT_TRUE(r.sharing.enabled);
     EXPECT_FALSE(r.use_cache);
     EXPECT_EQ(r.conflict_budget, 123u);
+    EXPECT_EQ(r.slice_conflicts, 456u);
 }
 
 TEST(strategy_resolution, degenerate_combinations_normalize_to_single) {
@@ -272,12 +272,14 @@ TEST(auto_strategy, explicit_fields_survive_the_classifier) {
     smt_engine engine(tm);
     strategy s;  // automatic…
     s.conflict_budget = 77;
+    s.slice_conflicts = 500;
     s.use_cache = false;
     query_handle handle = engine.submit({{q}, {}, s});
     EXPECT_TRUE(handle.get().is_sat());
     request_stats rstats = handle.stats();
     EXPECT_TRUE(rstats.auto_selected);
     EXPECT_EQ(rstats.strategy.conflict_budget, 77u);
+    EXPECT_EQ(rstats.strategy.slice_conflicts, 500u);
     EXPECT_FALSE(rstats.strategy.use_cache);
     EXPECT_EQ(engine.cache().size(), 0u);
 }
@@ -426,18 +428,6 @@ TEST(validation, rejected_strategy_shapes_name_the_offending_field) {
     strategy no_probes = strategy::shard(2);
     no_probes.probe_candidates = 0;
     EXPECT_NE(no_probes.validate().find("probe_candidates"), std::string::npos);
-
-    sharing_config degenerate;
-    degenerate.enabled = true;
-    degenerate.max_clause_size = 0;
-    strategy cannot_share = strategy::portfolio();
-    cannot_share.sharing = degenerate;
-    EXPECT_NE(cannot_share.validate().find("max_clause_size"), std::string::npos);
-
-    degenerate.max_clause_size = 8;
-    degenerate.slice_conflicts = 0;
-    cannot_share.sharing = degenerate;
-    EXPECT_NE(cannot_share.validate().find("slice_conflicts"), std::string::npos);
 
     EXPECT_TRUE(strategy::portfolio(4).validate().empty());
     EXPECT_TRUE(strategy::shard(12).validate().empty());

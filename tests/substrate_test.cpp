@@ -237,6 +237,38 @@ TEST(portfolio, single_member_degenerates) {
     EXPECT_EQ(outcome.winner, 0u);
 }
 
+TEST(portfolio, member_zero_is_bitwise_the_plain_solver) {
+    // A racing member's solver runs the plain search: member 0 alone
+    // reproduces the plain solver's stats field for field.
+    sat::solver plain;
+    encode_pigeonhole(plain, 6);
+    ASSERT_EQ(plain.solve(), sat::solve_result::unsat);
+
+    auto b = make_pigeonhole_backend(0, 6);
+    backend_result r = b->check();
+    EXPECT_EQ(r.ans, answer::unsat);
+    EXPECT_EQ(b->sat_core()->stats(), plain.stats());
+}
+
+TEST(portfolio, sliced_rounds_are_pinned_at_any_pool_width) {
+    // slice_conflicts > 0 runs the budgeted rounds. The schedule is fixed,
+    // so the winner, rounds and conflicts are pinned at any pool width.
+    auto run = [](unsigned threads) {
+        portfolio_config cfg;
+        cfg.members = 4;
+        cfg.slice_conflicts = 500;
+        thread_pool pool(threads);
+        return race([&](unsigned m) { return make_pigeonhole_backend(m, 7); }, cfg, &pool);
+    };
+    for (unsigned threads : {1u, 4u}) {
+        portfolio_outcome out = run(threads);
+        EXPECT_EQ(out.result.ans, answer::unsat) << threads;
+        EXPECT_EQ(out.rounds, 7u) << threads;
+        EXPECT_EQ(out.total_conflicts, 13602u) << threads;
+        EXPECT_EQ(out.winner, 2u) << threads;
+    }
+}
+
 TEST(portfolio, smt_engine_portfolio_matches_single) {
     smt::term_manager tm;
     smt::term x = tm.mk_bv_var("x", 16);
@@ -257,6 +289,30 @@ TEST(portfolio, smt_engine_portfolio_matches_single) {
     ASSERT_EQ(rp.ans, answer::sat);
     // Whatever member won, its model satisfies the assertion.
     EXPECT_EQ(eval_model(tm, feasible, rp.model), 1u);
+}
+
+TEST(portfolio, sliced_engine_portfolio_matches_plain_check) {
+    smt::term_manager tm;
+    smt::term x = tm.mk_bv_var("x", 12);
+    smt::term y = tm.mk_bv_var("y", 12);
+    // Obfuscated commutativity refutation (defeats the normalizing rewrite,
+    // so the solver does real CDCL work): x + y != ((y + x) + y) - y.
+    std::vector<smt::term> assertions = {
+        tm.mk_distinct(tm.mk_bvadd(x, y),
+                       tm.mk_bvsub(tm.mk_bvadd(tm.mk_bvadd(y, x), y), y)),
+    };
+    smt_engine plain(tm, {});
+    backend_result expect = solve_single(plain, assertions);
+    ASSERT_EQ(expect.ans, answer::unsat);
+
+    strategy rounds = strategy::portfolio(3);
+    rounds.slice_conflicts = 200;
+    smt_engine budgeted(tm, {.use_cache = false, .threads = 2});
+    query_handle handle = budgeted.submit({assertions, {}, rounds});
+    EXPECT_EQ(handle.get().ans, answer::unsat);
+    EXPECT_EQ(handle.stats().strategy.slice_conflicts, 200u);
+    EXPECT_GT(handle.stats().rounds, 0u);
+    EXPECT_EQ(handle.stats().strategy.members, 3u);
 }
 
 // ---- query cache ------------------------------------------------------------
@@ -647,14 +703,6 @@ TEST(application_routing, invgen_portfolio_set_is_inductive) {
     // And the stuck-at-0 latch is proven constant through the portfolio.
     EXPECT_EQ(invgen::prove_with_invariants(circuit, aig::negate(stuck), single.proven),
               invgen::prove_with_invariants(circuit, aig::negate(stuck), raced.proven));
-
-    // Racing with learnt-clause sharing between the members changes how the
-    // work is split, never what is proven.
-    invgen::invgen_config scfg = pcfg;
-    scfg.sharing.enabled = true;
-    scfg.sharing.deterministic = true;
-    auto shared = invgen::generate_invariants(circuit, scfg);
-    EXPECT_EQ(to_strings(single.proven), to_strings(shared.proven));
 }
 
 TEST(application_routing, invgen_batched_proof_matches_sequential) {
