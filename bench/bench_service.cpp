@@ -1,8 +1,9 @@
 // Serving overhead: what a round-trip through sciductiond costs on top of
 // a direct smt_engine::solve. Each iteration submits one tiny query over
 // the unix socket and awaits its result frame, so the number covers DAG
-// serialization, the event loop's dispatch tick, the solve, and the result
-// frame — the per-query price of process isolation and multi-tenancy.
+// serialization, the event loop's wake and dispatch, the solve, and the
+// result frame — the per-query price of process isolation and
+// multi-tenancy.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -2,15 +2,18 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -94,12 +97,41 @@ struct server::connection {
 
     [[nodiscard]] std::size_t load() const { return pending.size() + inflight.size(); }
 
+    connection() = default;
+    connection(const connection&) = delete;
+    connection& operator=(const connection&) = delete;
+    ~connection() {
+        if (fd >= 0) ::close(fd);
+    }
+
     void send(const frame& f) {
         if (closing) return;
         const std::vector<std::uint8_t> bytes = pack_frame(f);
         outbuf.insert(outbuf.end(), bytes.begin(), bytes.end());
     }
 };
+
+server::wake_fd::wake_fd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    // lint: throw-ok(daemon construction, before any request is being served)
+    if (fd_ < 0) throw std::runtime_error("sciductiond: eventfd() failed");
+}
+
+server::wake_fd::~wake_fd() { ::close(fd_); }
+
+void server::wake_fd::notify() const {
+    // A signal handler calls this: keep the interrupted code's errno. The
+    // write can only fail if the counter would overflow, and then the fd
+    // is readable already.
+    const int saved_errno = errno;
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+    errno = saved_errno;
+}
+
+void server::wake_fd::drain() const {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
+}
 
 server::server(server_config cfg)
     : cfg_(std::move(cfg)),
@@ -116,7 +148,8 @@ server::server(server_config cfg)
       h_service_ms_(registry_.get_histogram("server.service_ms")),
       h_conflicts_(registry_.get_histogram("server.conflicts")),
       h_lane_wait_us_(registry_.get_histogram("pool.lane_wait_us")) {
-    pool_ = std::make_shared<substrate::thread_pool>(cfg_.threads);
+    // Every finished async solve wakes the event loop to reap it.
+    pool_ = std::make_shared<substrate::thread_pool>(cfg_.threads, [this] { wake_.notify(); });
     cache_ = std::make_shared<substrate::query_cache>(cfg_.cache_path, cfg_.cache_capacity);
     // Dispatch latency inside the shared pool feeds the lane-wait
     // histogram (the observer contract: one atomic bump, non-blocking).
@@ -146,10 +179,8 @@ std::uint64_t server::run() {
     serving_.store(true, std::memory_order_release);
 
     while (true) {
-        if (stop_requested_.load(std::memory_order_relaxed) && !draining_)
-            begin_drain(drain_policy::finish);
-
         std::vector<pollfd> fds;
+        fds.push_back({wake_.fd(), POLLIN, 0});
         if (!draining_) fds.push_back({listen_fd_, POLLIN, 0});
         const std::size_t conn_base = fds.size();
         for (const auto& conn : connections_) {
@@ -158,19 +189,20 @@ std::uint64_t server::run() {
             if (!conn->outbuf.empty()) events |= POLLOUT;
             fds.push_back({conn->fd, events, 0});
         }
-        bool busy = false;
-        for (const auto& conn : connections_)
-            if (conn->load() != 0) busy = true;
-        // Completion is observed by polling ready(); tick fast only while
-        // work is in flight.
-        const int timeout_ms = busy ? 5 : 100;
-        const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+        const int rc = ::poll(fds.data(), fds.size(), poll_timeout_ms());
         if (rc < 0 && errno != EINTR) break;
+        // Drain before reaping: a solve finishing after this read writes
+        // the fd again, so the next poll cannot sleep through it.
+        if ((fds[0].revents & POLLIN) != 0) wake_.drain();
+        // Checked after the wait, so a stop that woke the loop is acted on
+        // (and a quiescent daemon exits) in this same iteration.
+        if (stop_requested_.load(std::memory_order_relaxed) && !draining_)
+            begin_drain(drain_policy::finish);
 
         // Only the connections that existed when fds was built were polled;
-        // accept_clients() may append more (they are served next tick).
+        // accept_clients() may append more (they are served next iteration).
         const std::size_t polled = connections_.size();
-        if (!draining_ && (fds[0].revents & POLLIN) != 0) accept_clients();
+        if (!draining_ && (fds[1].revents & POLLIN) != 0) accept_clients();
         for (std::size_t i = 0; i < polled; ++i) {
             const short revents = fds[conn_base + i].revents;
             connection& conn = *connections_[i];
@@ -186,9 +218,12 @@ std::uint64_t server::run() {
             if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !conn.closing)
                 handle_readable(conn);
         }
+        // Reap again after dispatch: handles that resolve on this thread
+        // (cache hits, malformed requests) are answered in this iteration.
         for (auto& conn : connections_) {
             reap(*conn);
             schedule(*conn);
+            reap(*conn);
         }
         for (std::size_t i = connections_.size(); i-- > 0;) {
             connection& conn = *connections_[i];
@@ -224,6 +259,13 @@ std::uint64_t server::run() {
         }
     }
 
+    // A hard poll error leaves the loop with solves still running on the
+    // shared pool against the tenants' engines: cancel and await them, as
+    // a cancel-drain does, before the sessions die (a no-op after a drain,
+    // which only ends once every tenant is quiescent).
+    begin_drain(drain_policy::cancel);
+    for (auto& conn : connections_)
+        for (auto& [id, req] : conn->inflight) req.handle.wait();
     // Session contexts die before the shared cache/pool; then persist.
     connections_.clear();
     cache_->save();
@@ -627,7 +669,6 @@ void server::drop_connection(std::size_t i) {
     connection& conn = *connections_[i];
     // Keep the tenant's accounting slice alive past the socket.
     if (conn.greeted && conn.session) accumulate(departed_[conn.tenant], conn.session->stats());
-    if (conn.fd >= 0) ::close(conn.fd);
     connections_.erase(connections_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
@@ -637,6 +678,17 @@ void server::begin_drain(drain_policy policy) {
     if (policy == drain_policy::cancel)
         for (auto& conn : connections_)
             for (auto& [id, req] : conn->inflight) req.handle.cancel();
+}
+
+int server::poll_timeout_ms() const {
+    std::optional<clock::time_point> earliest;
+    for (const auto& conn : connections_)
+        for (const auto& [id, req] : conn->inflight)
+            if (req.deadline && !req.deadline_cancelled && (!earliest || *req.deadline < *earliest))
+                earliest = req.deadline;
+    if (!earliest) return 100;
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(*earliest - clock::now()).count();
+    return static_cast<int>(std::clamp<decltype(ms)>(ms, 0, std::numeric_limits<int>::max()));
 }
 
 std::map<std::string, std::uint64_t> server::snapshot_stats() const {

@@ -15,13 +15,18 @@
 /// `finish_seq`).
 ///
 /// Threading: one event-loop thread owns all sockets, all term managers
-/// and the scheduler; solver work runs on the shared pool. Term *creation*
-/// is the only term_manager write, and decoding a submit creates terms —
-/// so the loop applies a per-tenant decode barrier: raw submit payloads
-/// queue undecoded, and are batch-decoded only when that tenant has zero
-/// solves in flight (its manager is then quiescent). Admission control is
-/// a bounded per-tenant queue (queued + in-flight <= queue_depth);
-/// overflow is rejected with `queue_full`, never buffered unboundedly.
+/// and the scheduler; solver work runs on the shared pool. The loop sleeps
+/// in poll(2) on the sockets plus one wake fd (an eventfd), which the
+/// pool's completion callback writes once per finished solve and
+/// request_stop() writes once; the poll timeout is the time to the
+/// earliest in-flight request deadline (100 ms when none has one).
+/// Term *creation* is the only term_manager write, and decoding a submit
+/// creates terms — so the loop applies a per-tenant decode barrier: raw
+/// submit payloads queue undecoded, and are batch-decoded only when that
+/// tenant has zero solves in flight (its manager is then quiescent).
+/// Admission control is a bounded per-tenant queue (queued + in-flight
+/// <= queue_depth); overflow is rejected with `queue_full`, never
+/// buffered unboundedly.
 ///
 /// Shutdown: SIGTERM (or a drain frame) stops admission, finishes or
 /// cancels in-flight work per the drain policy, delivers the remaining
@@ -61,8 +66,8 @@ struct server_config {
 };
 
 /// The daemon. Construct, then run() on the serving thread; request_stop()
-/// is async-signal-safe-adjacent (an atomic store) and may be called from
-/// a signal handler or another thread.
+/// is an atomic store plus one write(2), both async-signal-safe, and may
+/// be called from a signal handler or another thread.
 class server {
 public:
     explicit server(server_config cfg);
@@ -78,7 +83,10 @@ public:
 
     /// Asks the serving loop to drain (policy `finish`) and exit. Safe
     /// from signal handlers.
-    void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
+    void request_stop() {
+        stop_requested_.store(true, std::memory_order_relaxed);
+        wake_.notify();
+    }
 
     /// True once run() has bound the socket and entered the loop (tests
     /// use this to sequence client connects without sleeping).
@@ -86,6 +94,26 @@ public:
 
 private:
     struct connection;
+
+    /// The event loop's wake fd: a non-blocking eventfd, owned for the
+    /// server's whole life so request_stop() may write it before run().
+    class wake_fd {
+    public:
+        wake_fd();  ///< throws std::runtime_error if eventfd() fails
+        ~wake_fd();
+        wake_fd(const wake_fd&) = delete;
+        wake_fd& operator=(const wake_fd&) = delete;
+
+        [[nodiscard]] int fd() const { return fd_; }
+        /// Makes fd() readable: one write(2), async-signal-safe (errno is
+        /// preserved).
+        void notify() const;
+        /// Resets the counter, so the next poll sleeps until a new notify.
+        void drain() const;
+
+    private:
+        int fd_ = -1;
+    };
 
     void accept_clients();
     void handle_readable(connection& conn);
@@ -95,6 +123,9 @@ private:
     void reap(connection& conn);      ///< complete ready handles -> result frames
     void drop_connection(std::size_t i);
     void begin_drain(drain_policy policy);
+    /// poll(2) timeout: milliseconds (rounded up) to the earliest deadline
+    /// of a request still in flight, else the 100 ms idle fallback.
+    [[nodiscard]] int poll_timeout_ms() const;
     [[nodiscard]] std::map<std::string, std::uint64_t> snapshot_stats() const;
 
     server_config cfg_;
@@ -118,6 +149,10 @@ private:
     obs::histogram& h_service_ms_;
     obs::histogram& h_conflicts_;
     obs::histogram& h_lane_wait_us_;
+    // Declared before pool_, so it closes only after the pool has joined:
+    // a worker may still be inside the completion callback after the loop
+    // has already seen its solve's handle turn ready().
+    wake_fd wake_;
     std::shared_ptr<substrate::thread_pool> pool_;
     std::shared_ptr<substrate::query_cache> cache_;
     int listen_fd_ = -1;

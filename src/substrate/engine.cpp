@@ -443,7 +443,7 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     // is exactly the gap the fair-lane scheduler exists to bound.
     const std::uint64_t enqueued_us = tr != nullptr ? tr->now_us() : 0;
     auto task = [this, req = std::move(req), prep, state, session,
-                 enqueued_us]() -> backend_result {
+                 enqueued_us]() mutable -> backend_result {
         if (obs::trace_collector* trc = cfg_.trace.get(); trc != nullptr) {
             const std::uint64_t now = trc->now_us();
             trc->record(obs::trace_event{"queue_wait",
@@ -452,7 +452,13 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
                                          now > enqueued_us ? now - enqueued_us : 0,
                                          {{"query", state->query_id}}});
         }
-        return run_and_complete(req, *prep, *state, session.get());
+        backend_result result = run_and_complete(req, *prep, *state, session.get());
+        // The captures live as long as the future's shared state, which a
+        // pool thread may release after the handle is ready and the engine
+        // is gone. The session's destructor calls back into the engine, so
+        // drop this reference before the result is published.
+        session.reset();
+        return result;
     };
     auto future = session ? workers->submit_in(session->lane_, std::move(task)).share()
                           : workers->submit(std::move(task)).share();

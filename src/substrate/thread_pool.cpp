@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 namespace sciduction::substrate {
 
@@ -38,7 +39,8 @@ struct lane_scope {
 
 }  // namespace
 
-thread_pool::thread_pool(unsigned num_workers) {
+thread_pool::thread_pool(unsigned num_workers, std::function<void()> on_complete)
+    : on_complete_(std::move(on_complete)) {
     if (num_workers == 0) num_workers = default_concurrency();
     lanes_.emplace(default_lane, lane_state{});
     order_.push_back(default_lane);

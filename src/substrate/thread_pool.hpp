@@ -61,8 +61,15 @@ public:
     /// The built-in lane every plain submit() uses; always exists.
     static constexpr lane_id default_lane = 0;
 
-    /// Spawns `num_workers` threads (0 = default_concurrency()).
-    explicit thread_pool(unsigned num_workers = 0);
+    /// Spawns `num_workers` threads (0 = default_concurrency()). If
+    /// `on_complete` is set, it runs once per submit()/submit_in() task,
+    /// right after the task's future became ready, on whichever thread ran
+    /// the task (a worker, or a parallel_for caller stealing work);
+    /// parallel_for's own claim tasks never fire it. The serving layer
+    /// points it at its event loop's wake fd. It must be cheap,
+    /// non-blocking, thread-safe and non-throwing, and whatever it uses
+    /// must outlive the pool's tasks.
+    explicit thread_pool(unsigned num_workers = 0, std::function<void()> on_complete = {});
     /// Runs every queued task to completion, then joins the workers.
     ~thread_pool();
 
@@ -116,7 +123,10 @@ public:
         using result_t = std::invoke_result_t<Fn>;
         auto task = std::make_shared<std::packaged_task<result_t()>>(std::forward<Fn>(fn));
         std::future<result_t> fut = task->get_future();
-        enqueue(lane, [task] { (*task)(); });
+        enqueue(lane, [this, task] {
+            (*task)();
+            if (on_complete_) on_complete_();
+        });
         return fut;
     }
 
@@ -159,6 +169,8 @@ private:
     /// Whether any lane other than `lane` has queued tasks; requires the lock.
     [[nodiscard]] bool other_lanes_pending(lane_id lane) const SD_REQUIRES(mutex_);
 
+    /// Set before the workers start and never changed, so read unlocked.
+    const std::function<void()> on_complete_;
     std::vector<std::thread> workers_;
     std::unordered_map<lane_id, lane_state> lanes_ SD_GUARDED_BY(mutex_);
     std::vector<lane_id> order_ SD_GUARDED_BY(mutex_);  // cyclic service order over lanes_

@@ -5,6 +5,7 @@
 // clients talk to it over a real unix-domain socket.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -561,6 +562,36 @@ TEST(service_observability, stats_carry_per_tenant_slices_and_histogram_percenti
     EXPECT_TRUE(stats.count("trace.dropped"));
 }
 
+// ---- teardown ---------------------------------------------------------------
+
+TEST(service_teardown, hard_poll_error_awaits_inflight_solves_before_sessions_die) {
+    daemon d({.socket_path = {}, .threads = 2});
+    smt::term_manager tm;
+    client cli(tm, d.config.socket_path, "tenant");
+    const submit_outcome big = cli.submit(greedy_request(tm));
+    ASSERT_TRUE(big.accepted);
+    wait_until_started(cli, big.request_id);
+    {
+        // poll(2) fails with EINVAL when handed more fds than the soft
+        // RLIMIT_NOFILE. The loop polls at least its wake fd and the
+        // listener, so with the limit at 1 its next poll (at the latest
+        // after the 100 ms idle fallback) fails, and run() tears down with
+        // the greedy solve still running on the shared pool.
+        rlimit saved{};
+        ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+        rlimit lowered = saved;
+        lowered.rlim_cur = 1;
+        ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+        d.thread.join();
+        ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    }
+    // run() returned, so the solve was cancelled and awaited before its
+    // session died. Without that, the sanitizer builds report the engine
+    // destroyed under the running solve, and the server's pool join waits
+    // minutes for it. The session's socket closed with the session.
+    EXPECT_THROW((void)cli.await(big.request_id), client_error);
+}
+
 // ---- time budgets over the wire ---------------------------------------------
 
 TEST(service_budget, request_time_budget_maps_to_timeout_status) {
@@ -578,6 +609,37 @@ TEST(service_budget, request_time_budget_maps_to_timeout_status) {
     // The daemon's reaper enforced the deadline and reports it as the
     // request's own timeout, not a daemon-side cancel.
     EXPECT_EQ(r.status, substrate::solve_status::timeout);
+}
+
+TEST(service_budget, earliest_deadline_over_all_tenants_times_out_first) {
+    // Tenant A's 10 s deadline is dispatched first; tenant B's 50 ms one
+    // must still wake the loop on time, while A is nowhere near its own.
+    daemon d({.socket_path = {}, .threads = 2});
+    smt::term_manager tm_a;
+    smt::term_manager tm_b;
+    client a(tm_a, d.config.socket_path, "patient");
+    client b(tm_b, d.config.socket_path, "hasty");
+    auto budgeted = [](smt::term_manager& tm, std::uint64_t budget_ms) {
+        substrate::solve_request req = greedy_request(tm);
+        req.strategy = substrate::strategy::single();
+        req.strategy.use_cache = false;
+        req.strategy.time_budget_ms = budget_ms;
+        return req;
+    };
+    const submit_outcome slow = a.submit(budgeted(tm_a, 10000));
+    ASSERT_TRUE(slow.accepted);
+    wait_until_started(a, slow.request_id);
+    const submit_outcome fast = b.submit(budgeted(tm_b, 50));
+    ASSERT_TRUE(fast.accepted);
+    const result_message r = b.await(fast.request_id);
+    EXPECT_EQ(r.ans, substrate::answer::unknown);
+    EXPECT_EQ(r.status, substrate::solve_status::timeout);
+    const progress_message p = a.progress(slow.request_id);
+    EXPECT_TRUE(p.known);
+    EXPECT_FALSE(p.finished);
+    EXPECT_FALSE(p.cancel_requested);
+    EXPECT_TRUE(a.cancel(slow.request_id));
+    EXPECT_EQ(a.await(slow.request_id).status, substrate::solve_status::cancelled);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "gametime/gametime.hpp"
 #include "invgen/invgen.hpp"
@@ -51,6 +53,95 @@ TEST(thread_pool, submit_returns_future) {
     thread_pool pool(2);
     auto f = pool.submit([] { return 41 + 1; });
     EXPECT_EQ(f.get(), 42);
+}
+
+// ---- completion callback ----------------------------------------------------
+
+TEST(thread_pool_completion, callback_runs_after_the_future_is_ready) {
+    std::latch stored(1);
+    std::latch fired(1);
+    std::future<int> fut;
+    bool ready_inside = false;
+    thread_pool pool(1, [&] {
+        ready_inside = fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+        fired.count_down();
+    });
+    // The task holds off until `fut` is assigned, so the callback reads it
+    // only after this thread is done with it.
+    fut = pool.submit([&] {
+        stored.wait();
+        return 42;
+    });
+    stored.count_down();
+    fired.wait();
+    EXPECT_TRUE(ready_inside);
+    EXPECT_EQ(fut.get(), 42);
+}
+
+TEST(thread_pool_completion, stolen_task_fires_on_the_stealing_thread_before_it_returns) {
+    // One worker. parallel_for(2) queues one claim task; whichever
+    // iteration the worker claims submits `stolen` and then blocks until
+    // `stolen` has run. The caller's iteration waits until `stolen` is
+    // queued, so the caller then finds its loop undrained and the worker
+    // blocked: the only way on is to steal `stolen` through run_one().
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> fired{0};
+    std::thread::id fired_on;
+    thread_pool pool(1, [&] {
+        fired_on = std::this_thread::get_id();
+        fired.fetch_add(1);
+    });
+    std::latch queued(1);
+    std::latch ran(1);
+    std::future<void> stolen;
+    pool.parallel_for(2, [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+            queued.wait();
+            return;
+        }
+        stolen = pool.submit([&] { ran.count_down(); });
+        queued.count_down();
+        ran.wait();
+    });
+    // parallel_for returned, so the steal (and its callback) did too.
+    EXPECT_EQ(fired.load(), 1);
+    EXPECT_EQ(fired_on, caller);
+    ASSERT_TRUE(stolen.valid());
+    EXPECT_EQ(stolen.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+}
+
+TEST(thread_pool_completion, fires_once_per_submit_and_never_for_claim_tasks) {
+    std::atomic<std::size_t> fired{0};
+    std::vector<std::future<void>> tasks;  // one per submit()/submit_in()
+    {
+        thread_pool pool(2, [&] { fired.fetch_add(1); });
+        const thread_pool::lane_id lane = pool.create_lane(2);
+        std::atomic<int> iterations{0};
+        for (int i = 0; i < 3; ++i) tasks.push_back(pool.submit([] {}));
+        for (int i = 0; i < 2; ++i) tasks.push_back(pool.submit_in(lane, [] {}));
+        // A submitted task fanning out: its claim tasks (and any requeued
+        // after a cooperative yield to the other lane) stay silent.
+        tasks.push_back(pool.submit_in(lane, [&] {
+            pool.parallel_for(64, [&](std::size_t) { iterations.fetch_add(1); });
+        }));
+        pool.parallel_for(64, [&](std::size_t) { iterations.fetch_add(1); });
+        for (auto& t : tasks) t.get();
+        EXPECT_EQ(iterations.load(), 128);
+        pool.release_lane(lane);
+    }  // joined: every callback that will ever run has run
+    EXPECT_EQ(fired.load(), tasks.size());
+}
+
+TEST(thread_pool_completion, pool_without_callback_is_unchanged) {
+    thread_pool pool(2, {});
+    std::vector<std::atomic<int>> hits(33);
+    auto f = pool.submit([&] {
+        pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+        return 7;
+    });
+    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(f.get(), 7);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
 }
 
 // ---- dispatch lanes ---------------------------------------------------------
