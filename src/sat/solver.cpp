@@ -1078,11 +1078,6 @@ lbool solver::search(std::uint64_t conflicts_before_restart) {
         if (confl != cref_undef) {
             ++stats_.conflicts;
             ++conflicts_here;
-            if (conflict_budget_ != 0 && stats_.conflicts > conflict_budget_) {
-                budget_exhausted_ = true;
-                backtrack_to(0);
-                return lbool::l_undef;
-            }
             if (decision_level() == 0) {
                 ok_ = false;
                 conflict_.clear();
@@ -1184,7 +1179,6 @@ solve_result solver::solve(const std::vector<lit>& assumptions) {
     model_.clear();
     interrupted_ = false;
     paused_ = false;
-    budget_exhausted_ = false;
     if (progress_fn_) progress_fn_(stats_);
     if (!ok_) return solve_result::unsat;
 
@@ -1210,7 +1204,7 @@ solve_result solver::solve(const std::vector<lit>& assumptions) {
         double budget = opts_.restart_base * luby(opts_.restart_luby_factor, restarts++);
         status = search(static_cast<std::uint64_t>(budget));
         if (progress_fn_) progress_fn_(stats_);
-        if (interrupted_ || paused_ || budget_exhausted_) {
+        if (interrupted_ || paused_) {
             if (paused_) resume_restarts_ = restarts - 1;
             return solve_result::unknown;
         }

@@ -177,10 +177,11 @@ public:
     void set_progress(progress_fn fn) { progress_fn_ = std::move(fn); }
 
     /// Pauses the search when stats().conflicts reaches `total_conflicts`
-    /// (0 = never): solve() returns solve_result::unknown with all state —
-    /// learnt clauses, phases, activities — intact, so a later solve()
-    /// resumes deterministically. This is the budgeted-portfolio time slice;
-    /// unlike set_conflict_budget it neither throws nor counts as an error.
+    /// (0 = never): solve() returns solve_result::unknown with paused() set
+    /// and all state — learnt clauses, phases, activities — intact, so a
+    /// later solve() resumes deterministically. Every conflict budget runs
+    /// on it: a request's budget (substrate::arm_conflict_budget) and the
+    /// budgeted rounds' slices.
     void set_conflict_pause(std::uint64_t total_conflicts) { conflict_pause_ = total_conflicts; }
 
     /// Creates a fresh variable and returns its index.
@@ -240,24 +241,13 @@ public:
 
     [[nodiscard]] const solver_stats& stats() const { return stats_; }
 
-    /// Hard limit on total conflicts across solve() calls; 0 means
-    /// unlimited. Exceeding the budget aborts the search: solve() returns
-    /// solve_result::unknown with budget_exhausted() set (it used to throw —
-    /// exceptions are reserved for programming errors now, and a budget
-    /// running out is an expected outcome the substrate reports as
-    /// solve_status::over_budget).
-    void set_conflict_budget(std::uint64_t budget) { conflict_budget_ = budget; }
-
     /// Whether the last solve() was aborted by the interrupt flag. Cleared
     /// at the start of every solve; the substrate reads this to classify an
     /// unknown answer as solve_status::cancelled.
     [[nodiscard]] bool interrupted() const { return interrupted_; }
-    /// Whether the last solve() stopped at the conflict-pause threshold
-    /// (the budgeted-portfolio slice boundary). Cleared per solve.
+    /// Whether the last solve() stopped at the conflict-pause threshold (a
+    /// conflict budget or a budgeted-rounds slice). Cleared per solve.
     [[nodiscard]] bool paused() const { return paused_; }
-    /// Whether the last solve() aborted on the hard conflict budget.
-    /// Cleared per solve.
-    [[nodiscard]] bool budget_exhausted() const { return budget_exhausted_; }
 
     /// Whether bounded variable elimination removed `v` (and no later
     /// restore brought it back). Exposed for the BVE reconstruction tests.
@@ -434,7 +424,6 @@ private:
     double learntsize_factor_ = 1.0 / 3.0;
     double learntsize_inc_ = 1.1;
 
-    std::uint64_t conflict_budget_ = 0;
     std::uint64_t conflict_pause_ = 0;    // pause threshold on stats_.conflicts (0 = off)
     std::uint64_t resume_restarts_ = 0;   // Luby index to resume at after a pause
     std::uint64_t resume_interval_conflicts_ = 0;  // progress within the paused interval
@@ -467,7 +456,6 @@ private:
     const std::atomic<bool>* interrupt_ = nullptr;
     bool interrupted_ = false;  // search aborted by the interrupt flag
     bool paused_ = false;       // search paused by the conflict-pause threshold
-    bool budget_exhausted_ = false;  // search aborted on the hard conflict budget
 
     progress_fn progress_fn_;
     std::vector<std::uint32_t> lbd_seen_;      // per-level stamp for compute_lbd

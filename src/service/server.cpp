@@ -46,11 +46,62 @@ std::uint64_t peek_request_id(const std::vector<std::uint8_t>& payload) {
     return id;
 }
 
+/// The frame rejecting submit `id` for `reason`, with a detail line.
+frame reject_frame(std::uint64_t id, reject_reason reason, const std::string& detail) {
+    wire_writer w;
+    w.u64(id);
+    w.u8(static_cast<std::uint8_t>(reason));
+    w.str(detail);
+    return {op::reject, w.take()};
+}
+
+/// One tenant's `tenant.<name>.*` slice: counters in the daemon registry,
+/// registered at hello. The registry dedups by name, so a reconnect under
+/// the same name continues the slice the earlier connection left.
+struct tenant_counters {
+    tenant_counters(obs::metrics_registry& registry, const std::string& tenant)
+        : queries(registry.get_counter("tenant." + tenant + ".queries")),
+          cache_hits(registry.get_counter("tenant." + tenant + ".cache_hits")),
+          coalesced(registry.get_counter("tenant." + tenant + ".coalesced")),
+          completed(registry.get_counter("tenant." + tenant + ".completed")),
+          conflicts(registry.get_counter("tenant." + tenant + ".conflicts")),
+          ok(registry.get_counter("tenant." + tenant + ".ok")),
+          cancelled(registry.get_counter("tenant." + tenant + ".cancelled")),
+          over_budget(registry.get_counter("tenant." + tenant + ".over_budget")),
+          malformed(registry.get_counter("tenant." + tenant + ".malformed")),
+          internal(registry.get_counter("tenant." + tenant + ".internal")) {}
+
+    /// Bumps the counter of a completed solve's status (timeout is
+    /// handle-level and never comes out of a ready handle).
+    void count(substrate::solve_status s) {
+        switch (s) {
+            case substrate::solve_status::ok: ok.add(); break;
+            case substrate::solve_status::cancelled: cancelled.add(); break;
+            case substrate::solve_status::over_budget: over_budget.add(); break;
+            case substrate::solve_status::malformed: malformed.add(); break;
+            case substrate::solve_status::internal: internal.add(); break;
+            case substrate::solve_status::timeout: break;
+        }
+    }
+
+    obs::counter& queries;      ///< submitted to the engine
+    obs::counter& cache_hits;   ///< answered from the query cache
+    obs::counter& coalesced;    ///< joined an in-flight duplicate
+    obs::counter& completed;    ///< solves reaped (coalesced handles excluded)
+    obs::counter& conflicts;    ///< conflicts those solves spent
+    obs::counter& ok;           ///< completed with a decided answer
+    obs::counter& cancelled;    ///< completed cancelled
+    obs::counter& over_budget;  ///< completed with the budget exhausted
+    obs::counter& malformed;    ///< rejected by validation
+    obs::counter& internal;     ///< completed with a serialized error
+};
+
 }  // namespace
 
-/// One client connection and — once the hello lands — its tenant session
-/// context: a private term_manager + smt_engine over the daemon's shared
-/// cache and pool, riding a fair-dispatch lane via engine_session.
+/// One client connection and — once the hello lands — its tenant context:
+/// a private term_manager + smt_engine over the daemon's shared cache and
+/// pool (the engine holds the tenant's fair-dispatch lane), and the
+/// tenant's counters.
 struct server::connection {
     int fd = -1;
     std::vector<std::uint8_t> inbuf;
@@ -68,7 +119,7 @@ struct server::connection {
 
     std::unique_ptr<smt::term_manager> tm;
     std::unique_ptr<substrate::smt_engine> engine;
-    std::shared_ptr<substrate::engine_session> session;
+    std::optional<tenant_counters> counters;
 
     /// Admitted but not yet decoded (the decode barrier): raw payloads
     /// wait here until the tenant has zero solves in flight.
@@ -229,7 +280,8 @@ std::uint64_t server::run() {
             connection& conn = *connections_[i];
             // A closing connection is dropped only once its last frames
             // (the error/result that explains the close) have flushed.
-            if (conn.closing && conn.inflight.empty() && conn.outbuf.empty()) drop_connection(i);
+            if (conn.closing && conn.inflight.empty() && conn.outbuf.empty())
+                connections_.erase(connections_.begin() + static_cast<std::ptrdiff_t>(i));
         }
 
         if (draining_) {
@@ -371,11 +423,11 @@ bool server::handle_frame(connection& conn, const frame& f) {
                 ecfg.threads = static_cast<unsigned>(pool_->size());
                 ecfg.shared_cache = cache_;
                 ecfg.shared_pool = pool_;
+                ecfg.lane_weight = weight == 0 ? cfg_.default_weight : weight;
                 ecfg.trace = trace_;
                 ecfg.trace_track_name = "tenant:" + conn.tenant;
                 conn.engine = std::make_unique<substrate::smt_engine>(*conn.tm, ecfg);
-                conn.session = conn.engine->open_session(
-                    conn.tenant, weight == 0 ? cfg_.default_weight : weight);
+                conn.counters.emplace(registry_, conn.tenant);
                 conn.greeted = true;
                 c_sessions_.add();
                 wire_writer w;
@@ -399,14 +451,7 @@ bool server::handle_frame(connection& conn, const frame& f) {
                     for (auto it2 = conn.pending.begin(); it2 != conn.pending.end(); ++it2) {
                         if (it2->request_id != id) continue;
                         conn.pending.erase(it2);
-                        result_message msg;
-                        msg.request_id = id;
-                        msg.ans = substrate::answer::unknown;
-                        msg.status = substrate::solve_status::cancelled;
-                        msg.status_detail = "cancelled before dispatch";
-                        msg.finish_seq = finish_seq_++;
-                        conn.send({op::result, encode_result(*conn.tm, msg, {})});
-                        c_results_.add();
+                        send_cancelled(conn, id, "cancelled before dispatch");
                         found = true;
                         break;
                     }
@@ -485,11 +530,7 @@ bool server::handle_frame(connection& conn, const frame& f) {
 void server::handle_submit(connection& conn, const std::vector<std::uint8_t>& payload) {
     const std::uint64_t id = peek_request_id(payload);
     auto reject = [&](reject_reason reason, const std::string& detail) {
-        wire_writer w;
-        w.u64(id);
-        w.u8(static_cast<std::uint8_t>(reason));
-        w.str(detail);
-        conn.send({op::reject, w.take()});
+        conn.send(reject_frame(id, reason, detail));
     };
     if (payload.size() < 8) {
         c_protocol_errors_.add();
@@ -533,18 +574,9 @@ void server::schedule(connection& conn) {
     if (draining_ && drain_policy_ == drain_policy::cancel) {
         // Cancel-drain: admitted-but-queued work is answered cancelled
         // without ever dispatching.
-        while (!conn.pending.empty()) {
-            const auto pend = std::move(conn.pending.front());
-            conn.pending.pop_front();
-            result_message msg;
-            msg.request_id = pend.request_id;
-            msg.ans = substrate::answer::unknown;
-            msg.status = substrate::solve_status::cancelled;
-            msg.status_detail = "cancelled by drain";
-            msg.finish_seq = finish_seq_++;
-            conn.send({op::result, encode_result(*conn.tm, msg, {})});
-            c_results_.add();
-        }
+        for (const auto& pend : conn.pending)
+            send_cancelled(conn, pend.request_id, "cancelled by drain");
+        conn.pending.clear();
         return;
     }
     std::deque<connection::pending_submit> batch = std::move(conn.pending);
@@ -561,11 +593,8 @@ void server::schedule(connection& conn) {
             decoded.emplace_back(decode_submit(*conn.tm, pend.payload), pend.enqueued);
         } catch (const wire_error& e) {
             c_protocol_errors_.add();
-            wire_writer w;
-            w.u64(pend.request_id);
-            w.u8(static_cast<std::uint8_t>(reject_reason::protocol));
-            w.str(std::string("submit failed to decode: ") + e.what());
-            conn.send({op::reject, w.take()});
+            conn.send(reject_frame(pend.request_id, reject_reason::protocol,
+                                   std::string("submit failed to decode: ") + e.what()));
         }
     }
     for (auto& [msg, enqueued] : decoded) {
@@ -576,12 +605,16 @@ void server::schedule(connection& conn) {
         const std::uint64_t dispatched_us = trace_->now_us();
         const std::uint64_t wait_us = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(now - enqueued).count());
-        req.handle = conn.session->submit(std::move(msg.request));
+        req.handle = conn.engine->submit(std::move(msg.request));
         req.enqueued = enqueued;
         req.dispatched = now;
         req.enqueued_us = dispatched_us > wait_us ? dispatched_us - wait_us : 0;
         req.dispatched_us = dispatched_us;
-        if (const std::uint64_t budget = req.handle.stats().strategy.time_budget_ms; budget != 0)
+        const substrate::request_stats submitted = req.handle.stats();
+        conn.counters->queries.add();
+        if (submitted.cache_hit) conn.counters->cache_hits.add();
+        if (submitted.coalesced) conn.counters->coalesced.add();
+        if (const std::uint64_t budget = submitted.strategy.time_budget_ms; budget != 0)
             req.deadline = now + std::chrono::milliseconds(budget);
         conn.inflight.emplace(msg.request_id, std::move(req));
     }
@@ -612,6 +645,13 @@ void server::reap(connection& conn) {
             msg.status = substrate::solve_status::timeout;
         msg.status_detail = std::move(result.status_detail);
         const substrate::request_stats rstats = req.handle.stats();
+        // A coalesced handle shares its solve with the submit it joined,
+        // which accounts for the completion.
+        if (!rstats.coalesced) {
+            conn.counters->completed.add();
+            conn.counters->conflicts.add(result.conflicts);
+            conn.counters->count(result.status);
+        }
         // An all-UNSAT shard verdict is synthesized rather than returned by
         // one winning instance, so its result carries no conflict count;
         // report the pairs' aggregate instead.
@@ -648,28 +688,15 @@ void server::reap(connection& conn) {
     }
 }
 
-namespace {
-
-void accumulate(substrate::session_stats& into, const substrate::session_stats& from) {
-    into.queries += from.queries;
-    into.cache_hits += from.cache_hits;
-    into.coalesced += from.coalesced;
-    into.completed += from.completed;
-    into.conflicts += from.conflicts;
-    into.ok += from.ok;
-    into.cancelled += from.cancelled;
-    into.over_budget += from.over_budget;
-    into.malformed += from.malformed;
-    into.internal += from.internal;
-}
-
-}  // namespace
-
-void server::drop_connection(std::size_t i) {
-    connection& conn = *connections_[i];
-    // Keep the tenant's accounting slice alive past the socket.
-    if (conn.greeted && conn.session) accumulate(departed_[conn.tenant], conn.session->stats());
-    connections_.erase(connections_.begin() + static_cast<std::ptrdiff_t>(i));
+void server::send_cancelled(connection& conn, std::uint64_t id, const char* detail) {
+    result_message msg;
+    msg.request_id = id;
+    msg.ans = substrate::answer::unknown;
+    msg.status = substrate::solve_status::cancelled;
+    msg.status_detail = detail;
+    msg.finish_seq = finish_seq_++;
+    conn.send({op::result, encode_result(*conn.tm, msg, {})});
+    c_results_.add();
 }
 
 void server::begin_drain(drain_policy policy) {
@@ -692,9 +719,10 @@ int server::poll_timeout_ms() const {
 }
 
 std::map<std::string, std::uint64_t> server::snapshot_stats() const {
-    // The registry carries every registered server.* / pool.* counter and
-    // histogram (expanded to .count/.p50/.p90/.p99 keys); the rest of the
-    // snapshot is derived state sampled here under the same naming scheme.
+    // The registry carries every registered server.* / pool.* / tenant.*
+    // counter and histogram (expanded to .count/.p50/.p90/.p99 keys); the
+    // rest of the snapshot is derived state sampled here under the same
+    // naming scheme.
     std::map<std::string, std::uint64_t> out = registry_.snapshot();
     out["server.finish_seq"] = finish_seq_;
     out["pool.threads"] = pool_->size();
@@ -716,25 +744,6 @@ std::map<std::string, std::uint64_t> server::snapshot_stats() const {
     out["cache.insertions"] = cs.insertions;
     out["cache.persisted_loads"] = cs.persisted_loads;
     out["trace.dropped"] = trace_->dropped();
-    // Per-tenant slices (tenant.<name>.*): departed connections' retained
-    // accounting plus every live session that greeted under the name.
-    std::map<std::string, substrate::session_stats> tenants = departed_;
-    for (const auto& conn : connections_)
-        if (conn->greeted && conn->session)
-            accumulate(tenants[conn->tenant], conn->session->stats());
-    for (const auto& [name, ss] : tenants) {
-        const std::string prefix = "tenant." + name + ".";
-        out[prefix + "queries"] = ss.queries;
-        out[prefix + "cache_hits"] = ss.cache_hits;
-        out[prefix + "coalesced"] = ss.coalesced;
-        out[prefix + "completed"] = ss.completed;
-        out[prefix + "conflicts"] = ss.conflicts;
-        out[prefix + "ok"] = ss.ok;
-        out[prefix + "cancelled"] = ss.cancelled;
-        out[prefix + "over_budget"] = ss.over_budget;
-        out[prefix + "malformed"] = ss.malformed;
-        out[prefix + "internal"] = ss.internal;
-    }
     return out;
 }
 

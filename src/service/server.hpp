@@ -8,11 +8,12 @@
 /// smt_engine layered over the daemon-wide `query_cache`
 /// (engine_config::shared_cache; structural remap serves cross-tenant
 /// hits) and the daemon-wide `thread_pool` (engine_config::shared_pool).
-/// The per-tenant engine rides an engine_session, so its solves run on a
-/// weighted fair-dispatch lane of the shared pool: a tenant monopolizing
-/// the daemon with one greedy shard job cannot starve another tenant's
-/// burst of tiny queries (the fairness property service_test.cpp pins via
-/// `finish_seq`).
+/// The per-tenant engine takes its own weighted fair-dispatch lane of the
+/// shared pool (engine_config::lane_weight, from the hello): a tenant
+/// monopolizing the daemon with one greedy shard job cannot starve another
+/// tenant's burst of tiny queries (the fairness property service_test.cpp
+/// pins via `finish_seq`). The tenant's `tenant.<name>.*` counters live in
+/// the daemon's metrics registry, so they outlast its connections.
 ///
 /// Threading: one event-loop thread owns all sockets, all term managers
 /// and the scheduler; solver work runs on the shared pool. The loop sleeps
@@ -121,7 +122,9 @@ private:
     void handle_submit(connection& conn, const std::vector<std::uint8_t>& payload);
     void schedule(connection& conn);  ///< decode barrier + dispatch
     void reap(connection& conn);      ///< complete ready handles -> result frames
-    void drop_connection(std::size_t i);
+    /// Answers an admitted request that never reached the engine as
+    /// cancelled, with `detail` as the status line.
+    void send_cancelled(connection& conn, std::uint64_t id, const char* detail);
     void begin_drain(drain_policy policy);
     /// poll(2) timeout: milliseconds (rounded up) to the earliest deadline
     /// of a request still in flight, else the 100 ms idle fallback.
@@ -157,10 +160,6 @@ private:
     std::shared_ptr<substrate::query_cache> cache_;
     int listen_fd_ = -1;
     std::vector<std::unique_ptr<connection>> connections_;
-    /// Per-tenant accounting of connections that already closed, so a
-    /// tenant's `tenant.<name>.*` slice survives its disconnects (live
-    /// connections are added on top at snapshot time).
-    std::map<std::string, substrate::session_stats> departed_;
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> serving_{false};
     bool draining_ = false;

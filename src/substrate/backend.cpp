@@ -27,7 +27,7 @@ answer from_smt(smt::check_result r) {
 /// solve is the one place the *reason* for an unknown is still known.
 solve_status classify_unknown(const sat::solver& core) {
     if (core.interrupted()) return solve_status::cancelled;
-    if (core.paused() || core.budget_exhausted()) return solve_status::over_budget;
+    if (core.paused()) return solve_status::over_budget;
     return solve_status::internal;  // no known abort cause: report loudly
 }
 
@@ -43,6 +43,12 @@ const char* to_string(solve_status s) {
         case solve_status::internal: return "internal";
     }
     return "?";
+}
+
+void arm_conflict_budget(solver_backend& backend, std::uint64_t budget) {
+    if (budget == 0) return;
+    if (sat::solver* core = backend.sat_core())
+        core->set_conflict_pause(core->stats().conflicts + budget);
 }
 
 // ---- sat_backend ------------------------------------------------------------

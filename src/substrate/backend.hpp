@@ -177,6 +177,13 @@ public:
     [[nodiscard]] virtual sat::solver* sat_core() { return nullptr; }
 };
 
+/// Arms a conflict budget on `backend`'s CDCL core: the core pauses after
+/// `budget` more conflicts and answers unknown (solve_status::over_budget)
+/// with its state intact. The threshold is absolute, so on a backend reused
+/// across cubes the budget spans all of them. A budget of 0 (unlimited) or
+/// a backend without a core leaves the search untouched.
+void arm_conflict_budget(solver_backend& backend, std::uint64_t budget);
+
 /// CNF-level adapter owning a sat::solver. The caller (or a build callback)
 /// populates the solver with variables and clauses, then check() decides it
 /// under the configured assumptions.

@@ -93,48 +93,6 @@ request_stats query_handle::stats() const {
     return s;
 }
 
-// ---- engine_session ---------------------------------------------------------
-
-void session_stats::count(solve_status s) {
-    switch (s) {
-        case solve_status::ok: ++ok; break;
-        case solve_status::cancelled: ++cancelled; break;
-        case solve_status::over_budget: ++over_budget; break;
-        case solve_status::malformed: ++malformed; break;
-        case solve_status::internal: ++internal; break;
-        case solve_status::timeout: break;  // handle-level; see session_stats doc
-    }
-}
-
-engine_session::~engine_session() { engine_.release_session_lane(lane_); }
-
-session_stats engine_session::stats() const {
-    sd::lock_guard lock(mutex_);
-    return stats_;
-}
-
-query_handle engine_session::submit(solve_request req) {
-    return engine_.do_submit(std::move(req), /*inline_exec=*/false, shared_from_this());
-}
-
-backend_result engine_session::solve(solve_request req) {
-    return engine_.do_submit(std::move(req), /*inline_exec=*/true, shared_from_this()).get();
-}
-
-void engine_session::note_query(bool cache_hit, bool coalesced) {
-    sd::lock_guard lock(mutex_);
-    ++stats_.queries;
-    if (cache_hit) ++stats_.cache_hits;
-    if (coalesced) ++stats_.coalesced;
-}
-
-void engine_session::note_completed(const backend_result& result) {
-    sd::lock_guard lock(mutex_);
-    ++stats_.completed;
-    stats_.conflicts += result.conflicts;
-    stats_.count(result.status);
-}
-
 // ---- smt_engine -------------------------------------------------------------
 
 std::string engine_config::validate() const {
@@ -165,6 +123,11 @@ smt_engine::smt_engine(smt::term_manager& tm, engine_config cfg)
     if (cfg_.trace)
         trace_track_ = cfg_.trace->register_track(
             cfg_.trace_track_name.empty() ? "engine" : cfg_.trace_track_name);
+    if (cfg_.shared_pool) lane_ = cfg_.shared_pool->create_lane(cfg_.lane_weight);
+}
+
+smt_engine::~smt_engine() {
+    if (cfg_.shared_pool) cfg_.shared_pool->release_lane(lane_);
 }
 
 engine_stats smt_engine::stats() const {
@@ -177,23 +140,6 @@ thread_pool& smt_engine::pool() {
     sd::lock_guard lock(pool_mutex_);
     if (!pool_) pool_ = std::make_unique<thread_pool>(cfg_.threads);
     return *pool_;
-}
-
-std::shared_ptr<engine_session> smt_engine::open_session(std::string name, unsigned weight) {
-    thread_pool::lane_id lane = pool().create_lane(weight);
-    // make_shared needs a public constructor; the session ctor is private
-    // to keep lane creation behind this method.
-    return std::shared_ptr<engine_session>(
-        new engine_session(*this, std::move(name), std::max(1u, weight), lane));
-}
-
-void smt_engine::release_session_lane(thread_pool::lane_id lane) {
-    if (cfg_.shared_pool) {
-        cfg_.shared_pool->release_lane(lane);
-        return;
-    }
-    sd::lock_guard lock(pool_mutex_);
-    if (pool_) pool_->release_lane(lane);
 }
 
 backend_result smt_engine::run_request(const solve_request& req, detail::query_state& state) {
@@ -275,8 +221,7 @@ backend_result smt_engine::run_request(const solve_request& req, detail::query_s
 
 backend_result smt_engine::run_and_complete(const solve_request& req,
                                             const query_cache::prepared_query& prep,
-                                            detail::query_state& state,
-                                            engine_session* session) {
+                                            detail::query_state& state) {
     state.started.store(true, std::memory_order_relaxed);
     // One span per executed solve (cache hits never reach here); closed by
     // the destructor after the completion protocol ran.
@@ -319,12 +264,10 @@ backend_result smt_engine::run_and_complete(const solve_request& req,
         inflight_.erase(prep.key);
     }
     state.finished.store(true, std::memory_order_relaxed);
-    if (session != nullptr) session->note_completed(result);
     return result;
 }
 
-query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
-                                   std::shared_ptr<engine_session> session) {
+query_handle smt_engine::do_submit(solve_request req, bool inline_exec) {
     std::uint64_t qid = 0;
     {
         sd::lock_guard lock(stats_mutex_);
@@ -347,7 +290,6 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     if (std::string err = req.validate(); !err.empty()) {
         // Malformed requests are reported through the status channel, not
         // thrown: the handle is immediately ready with nothing run.
-        if (session) session->note_query(/*cache_hit=*/false, /*coalesced=*/false);
         backend_result rejected;
         rejected.status = solve_status::malformed;
         rejected.status_detail = std::move(err);
@@ -355,7 +297,6 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         state->stats.status_detail = rejected.status_detail;
         state->started.store(true, std::memory_order_relaxed);
         state->finished.store(true, std::memory_order_relaxed);
-        if (session) session->note_completed(rejected);
         std::promise<backend_result> ready;
         ready.set_value(std::move(rejected));
         return query_handle(std::move(state), ready.get_future().share(), rs.time_budget_ms,
@@ -365,10 +306,6 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         {
             sd::lock_guard lock(stats_mutex_);
             ++stats_.cache_hits;
-        }
-        if (session) {
-            session->note_query(/*cache_hit=*/true, /*coalesced=*/false);
-            session->note_completed(cached);
         }
         state->stats.cache_hit = true;
         state->stats.conflicts = cached.conflicts;
@@ -408,10 +345,8 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
             sd::lock_guard slock(stats_mutex_);
             ++stats_.coalesced;
         }
-        if (session) session->note_query(/*cache_hit=*/false, /*coalesced=*/true);
         // The duplicate shares the first submission's solve (and conflict
-        // budget) but keeps its own await-side time budget. Its completion
-        // stays accounted to the first submitter's session.
+        // budget) but keeps its own await-side time budget.
         return query_handle(it->second.state, it->second.future, rs.time_budget_ms,
                             /*coalesced=*/true);
     }
@@ -423,7 +358,6 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         if (auto cached = cache_->lookup_prepared(tm_, *prep))
             return resolve_ready(std::move(*cached));
     }
-    if (session) session->note_query(/*cache_hit=*/false, /*coalesced=*/false);
     if (inline_exec) {
         // Publish the in-flight entry (so concurrent duplicates coalesce),
         // then solve on this thread and fulfil the promise they share.
@@ -433,17 +367,16 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
         auto future = promise.get_future().share();
         inflight_.emplace(key, inflight_entry{state, future});
         lock.unlock();
-        promise.set_value(run_and_complete(req, *prep, *state, session.get()));
+        promise.set_value(run_and_complete(req, *prep, *state));
         return query_handle(std::move(state), std::move(future), rs.time_budget_ms,
                             /*coalesced=*/false);
     }
-    // Session submits ride the session's fair dispatch lane, so one
+    // Async solves ride the engine's dispatch lane, so on a shared pool one
     // tenant's fan-out cannot starve another's queue (thread_pool.hpp).
     // Queue wait is recorded as its own span — dispatch latency under load
     // is exactly the gap the fair-lane scheduler exists to bound.
     const std::uint64_t enqueued_us = tr != nullptr ? tr->now_us() : 0;
-    auto task = [this, req = std::move(req), prep, state, session,
-                 enqueued_us]() mutable -> backend_result {
+    auto task = [this, req = std::move(req), prep, state, enqueued_us]() -> backend_result {
         if (obs::trace_collector* trc = cfg_.trace.get(); trc != nullptr) {
             const std::uint64_t now = trc->now_us();
             trc->record(obs::trace_event{"queue_wait",
@@ -452,16 +385,9 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
                                          now > enqueued_us ? now - enqueued_us : 0,
                                          {{"query", state->query_id}}});
         }
-        backend_result result = run_and_complete(req, *prep, *state, session.get());
-        // The captures live as long as the future's shared state, which a
-        // pool thread may release after the handle is ready and the engine
-        // is gone. The session's destructor calls back into the engine, so
-        // drop this reference before the result is published.
-        session.reset();
-        return result;
+        return run_and_complete(req, *prep, *state);
     };
-    auto future = session ? workers->submit_in(session->lane_, std::move(task)).share()
-                          : workers->submit(std::move(task)).share();
+    auto future = workers->submit_in(lane_, std::move(task)).share();
     // The map entry is published under the same lock that the completion
     // lambda needs to erase it, so a fast worker cannot race past us.
     inflight_.emplace(key, inflight_entry{state, future});
@@ -470,11 +396,11 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
 }
 
 query_handle smt_engine::submit(solve_request req) {
-    return do_submit(std::move(req), /*inline_exec=*/false, nullptr);
+    return do_submit(std::move(req), /*inline_exec=*/false);
 }
 
 backend_result smt_engine::solve(solve_request req) {
-    return do_submit(std::move(req), /*inline_exec=*/true, nullptr).get();
+    return do_submit(std::move(req), /*inline_exec=*/true).get();
 }
 
 }  // namespace sciduction::substrate

@@ -22,14 +22,14 @@
 ///                      handle instead of re-solving.
 /// `submit` is asynchronous; `solve` is its synchronous twin (executed on
 /// the calling thread, so sequential workloads stay free of worker
-/// threads). Multi-tenant serving opens one `engine_session` per tenant
-/// (open_session): session submits ride a fair dispatch lane of the pool
-/// and are accounted in a per-tenant `session_stats` slice — the
+/// threads). Multi-tenant serving builds one engine per tenant over one
+/// shared pool (engine_config::shared_pool): each such engine takes its own
+/// weighted fair dispatch lane of that pool for its async solves — the
 /// scheduling substrate sciductiond (src/service/) builds on. A
-/// default-configured engine running
-/// single-strategy requests is observationally identical to constructing
-/// one smt::smt_solver per query, which is what the application modules
-/// did before the substrate existed.
+/// default-configured engine running single-strategy requests is
+/// observationally identical to constructing one smt::smt_solver per
+/// query, which is what the application modules did before the substrate
+/// existed.
 #pragma once
 
 #include <future>
@@ -79,6 +79,10 @@ struct engine_config {
     /// shared pool is *not* drained by ~smt_engine — await every handle
     /// before destroying the engine (the daemon's drain does exactly that).
     std::shared_ptr<thread_pool> shared_pool{};
+    /// Round-robin weight of the dispatch lane an engine on `shared_pool`
+    /// takes for its async solves (floored at 1; thread_pool::create_lane).
+    /// Ignored for an owned pool, whose solves use the default lane.
+    unsigned lane_weight = 1;
     /// Span tracer every submit records its request life into (submit,
     /// strategy resolve, cache lookup, queue wait, solve, per-member /
     /// per-pair slices). Share one collector between engines (the daemon
@@ -222,77 +226,17 @@ private:
     bool coalesced_ = false;
 };
 
-/// Per-tenant accounting slice of engine_stats: what one session submitted
-/// and how it ended, by solve_status. `completed` counts solves whose
-/// completion ran under this session (a coalesced duplicate's completion is
-/// accounted to the session that submitted first).
-struct session_stats {
-    std::uint64_t queries = 0;      ///< submits through this session
-    std::uint64_t cache_hits = 0;   ///< answered from the query cache
-    std::uint64_t coalesced = 0;    ///< joined an in-flight duplicate
-    std::uint64_t completed = 0;    ///< solves completed under this session
-    std::uint64_t conflicts = 0;    ///< conflicts those solves spent
-    std::uint64_t ok = 0;           ///< completed with a decided answer
-    std::uint64_t cancelled = 0;    ///< completed cancelled
-    std::uint64_t over_budget = 0;  ///< completed with the budget exhausted
-    std::uint64_t malformed = 0;    ///< rejected by validation
-    std::uint64_t internal = 0;     ///< completed with a serialized error
-
-    /// Bumps the by-status counter matching `s` (timeout is handle-level
-    /// and never reaches a session's completion path).
-    void count(solve_status s);
-};
-
-class smt_engine;
-
-/// A tenant's view of one engine — the session context sciductiond opens
-/// per client (smt_engine::open_session). Submits through a session ride
-/// the session's fair dispatch lane of the engine pool (weighted
-/// round-robin against every other lane, so one tenant's shard fan-out
-/// cannot starve another tenant's tiny queries) and are accounted in the
-/// session's own session_stats slice. Sessions are handed out as
-/// shared_ptr and must not outlive their engine; the lane is released when
-/// the last reference drops.
-class engine_session : public std::enable_shared_from_this<engine_session> {
-public:
-    ~engine_session();
-    engine_session(const engine_session&) = delete;             ///< non-copyable (owns a lane)
-    engine_session& operator=(const engine_session&) = delete;  ///< non-copyable
-
-    /// The tenant name the session was opened with.
-    [[nodiscard]] const std::string& name() const { return name_; }
-    /// The round-robin weight of the session's dispatch lane.
-    [[nodiscard]] unsigned weight() const { return weight_; }
-    /// Snapshot of the per-tenant counters (thread-safe).
-    [[nodiscard]] session_stats stats() const;
-    /// smt_engine::submit, on this session's lane and accounting slice.
-    query_handle submit(solve_request req);
-    /// Synchronous submit (smt_engine::solve) on this session's slice.
-    backend_result solve(solve_request req);
-
-private:
-    friend class smt_engine;
-    engine_session(smt_engine& engine, std::string name, unsigned weight,
-                   thread_pool::lane_id lane)
-        : engine_(engine), name_(std::move(name)), weight_(weight), lane_(lane) {}
-    void note_query(bool cache_hit, bool coalesced);
-    void note_completed(const backend_result& result);
-
-    smt_engine& engine_;
-    std::string name_;
-    unsigned weight_;
-    thread_pool::lane_id lane_;
-    mutable sd::mutex mutex_;
-    session_stats stats_ SD_GUARDED_BY(mutex_);
-};
-
 /// The deductive-query facade: one engine per (term_manager, workload)
 /// owning the query cache and the worker pool. See the file comment and
 /// docs/ARCHITECTURE.md.
 class smt_engine {
 public:
-    /// Binds the engine to `tm` (which must outlive it) with `cfg`.
+    /// Binds the engine to `tm` (which must outlive it) with `cfg`; an
+    /// engine on a shared pool creates its dispatch lane there.
     explicit smt_engine(smt::term_manager& tm, engine_config cfg = {});
+    /// Releases the engine's lane of a shared pool; an owned pool runs
+    /// every queued task before it joins.
+    ~smt_engine();
 
     /// The term manager every query's terms must come from.
     [[nodiscard]] smt::term_manager& manager() { return tm_; }
@@ -329,14 +273,6 @@ public:
     /// coalesce onto the published in-flight entry.
     backend_result solve(solve_request req);
 
-    /// Opens a per-tenant session: submits through it ride a fresh fair
-    /// dispatch lane of the engine pool with the given round-robin
-    /// `weight`, and are accounted in the session's own session_stats
-    /// slice. The session must not outlive the engine; its lane is
-    /// released when the last shared reference drops. Forces the pool into
-    /// existence (serving implies workers).
-    std::shared_ptr<engine_session> open_session(std::string name, unsigned weight = 1);
-
     /// Evaluates t under a model returned by a solve, defaulting unblasted
     /// variables to zero.
     [[nodiscard]] std::uint64_t model_value(smt::term t, const smt::env& model) const {
@@ -344,16 +280,14 @@ public:
     }
 
 private:
-    friend class engine_session;
     /// Shared body of submit()/solve(): validate, resolve, cache-lookup,
-    /// coalesce, then either dispatch to the pool (async; on the session's
-    /// lane if any) or — for the synchronous solve() path — execute inline
+    /// coalesce, then either dispatch to the pool (async, on the engine's
+    /// lane) or — for the synchronous solve() path — execute inline
     /// on the calling thread, which keeps sequential workloads free of
     /// worker threads entirely (duplicates arriving meanwhile still
     /// coalesce onto the published future). A request failing validate()
     /// yields an immediately-ready handle carrying solve_status::malformed.
-    query_handle do_submit(solve_request req, bool inline_exec,
-                           std::shared_ptr<engine_session> session);
+    query_handle do_submit(solve_request req, bool inline_exec);
     /// Executes one resolved request on the calling (worker) thread.
     backend_result run_request(const solve_request& req, detail::query_state& state);
     /// run_request plus the completion protocol: cache insert, inflight
@@ -364,14 +298,12 @@ private:
     /// do_submit and reused for the cache insert.
     backend_result run_and_complete(const solve_request& req,
                                     const query_cache::prepared_query& prep,
-                                    detail::query_state& state, engine_session* session);
+                                    detail::query_state& state);
     /// The engine's worker pool — the config's shared_pool if set, else an
     /// owned pool created on first use and then shared by every race,
     /// batch, shard and async query: loops issuing thousands of queries
     /// pay thread spawn/teardown once.
     thread_pool& pool();
-    /// Releases a session's dispatch lane (no-op if no pool exists).
-    void release_session_lane(thread_pool::lane_id lane);
 
     /// An in-flight request, as the coalescing map tracks it: the shared
     /// state plus the future later duplicates attach to (kept out of the
@@ -384,6 +316,9 @@ private:
     smt::term_manager& tm_;
     engine_config cfg_;
     std::uint32_t trace_track_ = 0;  // span track in cfg_.trace (0 = tracing off)
+    // Dispatch lane of every async solve: created in cfg_.shared_pool,
+    // else the owned pool's default lane.
+    thread_pool::lane_id lane_ = thread_pool::default_lane;
     // Owned (constructed from cfg_.cache_capacity / cache_path) unless the
     // config supplied a shared_cache, in which case that one is used and
     // kept alive by this reference.

@@ -38,19 +38,10 @@ sat::solver_options diversified_options(unsigned member) {
 
 namespace {
 
-/// Arms the per-instance conflict budget on a freshly built backend: the
-/// pause threshold is absolute, so a fresh core pauses after exactly
-/// `budget` conflicts and answers unknown with its state intact.
-void arm_budget(solver_backend& backend, std::uint64_t budget) {
-    if (budget == 0) return;
-    if (sat::solver* core = backend.sat_core())
-        core->set_conflict_pause(core->stats().conflicts + budget);
-}
-
 portfolio_outcome race_single(const backend_factory& factory, const solve_controls& controls) {
     portfolio_outcome outcome;
     auto backend = factory(0);
-    arm_budget(*backend, controls.conflict_budget);
+    arm_conflict_budget(*backend, controls.conflict_budget);
     obs::span slice(controls.trace, controls.trace_track, "member#0");
     slice.arg("query", controls.trace_query);
     outcome.result = backend->check(controls.cancel);
@@ -77,7 +68,7 @@ portfolio_outcome race_free(const backend_factory& factory, unsigned members, th
     pool.parallel_for(members, [&](std::size_t member) {
         if (state.cancel->load(std::memory_order_relaxed)) return;
         auto backend = factory(static_cast<unsigned>(member));
-        arm_budget(*backend, controls.conflict_budget);
+        arm_conflict_budget(*backend, controls.conflict_budget);
         obs::span slice(controls.trace, controls.trace_track,
                         "member#" + std::to_string(member));
         slice.arg("query", controls.trace_query);

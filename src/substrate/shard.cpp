@@ -96,14 +96,6 @@ cube_plan generate_cubes(sat::solver& s, const cube_config& cfg) {
 
 namespace {
 
-/// Arms the per-pair conflict budget on a freshly built replica (the
-/// threshold is cumulative over the pair's cubes).
-void arm_budget(solver_backend& backend, std::uint64_t budget) {
-    if (budget == 0) return;
-    if (sat::solver* core = backend.sat_core())
-        core->set_conflict_pause(core->stats().conflicts + budget);
-}
-
 /// Free-running scheduler: one task per sibling pair claimed off the pool.
 /// An external cancel flag in `controls` doubles as the SAT race's own
 /// cancellation line, so a caller setting it mid-solve aborts every pair.
@@ -144,7 +136,7 @@ shard_outcome solve_cubes_free(const indexed_shard_factory& factory, const cube_
         // learnt refuting its twin, and the pair's work is scheduling-
         // independent (the all-UNSAT determinism contract).
         auto backend = factory(pair);
-        arm_budget(*backend, controls.conflict_budget);
+        arm_conflict_budget(*backend, controls.conflict_budget);
         obs::span slice(controls.trace, controls.trace_track, "pair#" + std::to_string(pair));
         slice.arg("query", controls.trace_query);
         slice.arg("pair", pair);

@@ -169,9 +169,7 @@ dispatch_outcome execute(const resolved_strategy& rs, std::unique_ptr<solver_bac
         out.instances = replicas.load(std::memory_order_relaxed);
         return out;
     }
-    sat::solver* core = prototype->sat_core();
-    if (controls.conflict_budget != 0 && core != nullptr)
-        core->set_conflict_pause(core->stats().conflicts + controls.conflict_budget);
+    arm_conflict_budget(*prototype, controls.conflict_budget);
     out.result = prototype->check(controls.cancel);
     out.total_conflicts = out.result.conflicts;
     out.instances = 1;
@@ -239,10 +237,9 @@ cnf_outcome solve_cnf(const cnf_builder& build, const strategy& strat, unsigned 
                 model_lits.push_back(sat::mk_lit(static_cast<sat::var>(v),
                                                  cached->sat_model[v] == sat::lbool::l_false));
             }
-            const std::uint64_t budget = inner.conflict_budget;
-            if (budget != 0) core.set_conflict_pause(core.stats().conflicts + budget);
+            arm_conflict_budget(*proto, inner.conflict_budget);
             backend_result validated = proto->check_cube(model_lits, inner.cancel);
-            if (budget != 0) core.set_conflict_pause(0);
+            core.set_conflict_pause(0);  // disarmed; execute re-arms the solve's own
             if (validated.is_sat()) {
                 validated.conflicts = cached->conflicts;
                 out.result = std::move(validated);

@@ -164,9 +164,9 @@ TEST_P(random_cnf, matches_brute_force) {
 INSTANTIATE_TEST_SUITE_P(seeds, random_cnf, ::testing::Values(11, 22, 33, 44));
 
 TEST(sat_solver, conflict_budget_gives_unknown) {
-    // Large pigeonhole with a tiny budget must give up explicitly (unknown
-    // with budget_exhausted() set), not wrongly and not by throwing —
-    // exceptions are reserved for programming errors.
+    // Large pigeonhole with a tiny conflict budget (the pause threshold)
+    // must give up explicitly (unknown with paused() set), not wrongly and
+    // not by throwing — exceptions are reserved for programming errors.
     const int holes = 9;
     solver s;
     std::vector<std::vector<var>> x(holes + 1, std::vector<var>(holes));
@@ -181,11 +181,11 @@ TEST(sat_solver, conflict_budget_gives_unknown) {
         for (int p1 = 0; p1 <= holes; ++p1)
             for (int p2 = p1 + 1; p2 <= holes; ++p2)
                 s.add_clause(~mk_lit(x[p1][h]), ~mk_lit(x[p2][h]));
-    s.set_conflict_budget(10);
+    s.set_conflict_pause(10);
     EXPECT_EQ(s.solve(), solve_result::unknown);
-    EXPECT_TRUE(s.budget_exhausted());
+    EXPECT_TRUE(s.paused());
     EXPECT_FALSE(s.interrupted());
-    EXPECT_FALSE(s.paused());
+    EXPECT_EQ(s.stats().conflicts, 10u);
 }
 
 TEST(sat_solver, conflict_pause_preserves_state_and_resumes_to_same_answer) {

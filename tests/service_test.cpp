@@ -562,6 +562,52 @@ TEST(service_observability, stats_carry_per_tenant_slices_and_histogram_percenti
     EXPECT_TRUE(stats.count("trace.dropped"));
 }
 
+TEST(service_observability, tenant_slice_counts_each_status_and_survives_reconnect) {
+    daemon d({.socket_path = {}, .threads = 2});
+    smt::term_manager tm;
+    auto solve = [&](client& cli, const substrate::solve_request& req) {
+        const submit_outcome out = cli.submit(req);
+        EXPECT_TRUE(out.accepted) << out.detail;
+        return cli.await(out.request_id);
+    };
+    {
+        client carol(tm, d.config.socket_path, "carol");
+        EXPECT_EQ(solve(carol, tiny_request(tm, 1)).status, substrate::solve_status::ok);
+        EXPECT_EQ(solve(carol, tiny_request(tm, 2)).status, substrate::solve_status::ok);
+        EXPECT_TRUE(solve(carol, tiny_request(tm, 1)).cache_hit);
+        substrate::solve_request bad = tiny_request(tm, 3);
+        bad.strategy = substrate::strategy::portfolio();
+        bad.strategy.members = 0;
+        EXPECT_EQ(solve(carol, bad).status, substrate::solve_status::malformed);
+        substrate::solve_request capped = greedy_request(tm);
+        capped.strategy = substrate::strategy::single();
+        capped.strategy.use_cache = false;
+        capped.strategy.conflict_budget = 1;
+        EXPECT_EQ(solve(carol, capped).status, substrate::solve_status::over_budget);
+    }  // carol disconnects; her slice must outlive the connection
+    client dave(tm, d.config.socket_path, "dave");
+    auto stats = dave.stats();
+    EXPECT_EQ(stats.at("tenant.carol.queries"), 5u);
+    EXPECT_EQ(stats.at("tenant.carol.cache_hits"), 1u);
+    EXPECT_EQ(stats.at("tenant.carol.coalesced"), 0u);
+    EXPECT_EQ(stats.at("tenant.carol.completed"), 5u);
+    EXPECT_GE(stats.at("tenant.carol.conflicts"), 1u);
+    EXPECT_EQ(stats.at("tenant.carol.ok"), 3u);
+    EXPECT_EQ(stats.at("tenant.carol.cancelled"), 0u);
+    EXPECT_EQ(stats.at("tenant.carol.over_budget"), 1u);
+    EXPECT_EQ(stats.at("tenant.carol.malformed"), 1u);
+    EXPECT_EQ(stats.at("tenant.carol.internal"), 0u);
+    for (const char* field : {"queries", "cache_hits", "coalesced", "completed", "conflicts", "ok",
+                              "cancelled", "over_budget", "malformed", "internal"})
+        EXPECT_EQ(stats.at(std::string("tenant.dave.") + field), 0u) << field;
+    // A reconnect under the same name continues the old slice.
+    client carol_again(tm, d.config.socket_path, "carol");
+    EXPECT_EQ(solve(carol_again, tiny_request(tm, 4)).status, substrate::solve_status::ok);
+    stats = dave.stats();
+    EXPECT_EQ(stats.at("tenant.carol.queries"), 6u);
+    EXPECT_EQ(stats.at("tenant.carol.completed"), 6u);
+}
+
 // ---- teardown ---------------------------------------------------------------
 
 TEST(service_teardown, hard_poll_error_awaits_inflight_solves_before_sessions_die) {

@@ -552,64 +552,9 @@ TEST(batch, shares_cache_across_duplicate_queries) {
     EXPECT_EQ(engine.cache().stats().persisted_loads, 0u);
 }
 
-// ---- engine sessions --------------------------------------------------------
+// ---- shared pool ------------------------------------------------------------
 
-TEST(engine_session, per_session_stats_slice_counts_its_own_work) {
-    smt::term_manager tm;
-    smt_engine engine(tm, {.threads = 2});
-    auto tenant_a = engine.open_session("tenant-a", 2);
-    auto tenant_b = engine.open_session("tenant-b");
-    EXPECT_EQ(tenant_a->name(), "tenant-a");
-    EXPECT_EQ(tenant_a->weight(), 2u);
-    EXPECT_EQ(tenant_b->weight(), 1u);
-
-    smt::term x = tm.mk_bv_var("x", 8);
-    smt::term q = tm.mk_ult(x, tm.mk_bv_const(8, 9));
-    EXPECT_TRUE(tenant_a->solve({{q}, {}, strategy::single()}).is_sat());
-    // Same query through the other tenant: a cache hit, accounted to B.
-    EXPECT_TRUE(tenant_b->submit({{q}, {}, strategy::single()}).get().is_sat());
-
-    session_stats sa = tenant_a->stats();
-    EXPECT_EQ(sa.queries, 1u);
-    EXPECT_EQ(sa.completed, 1u);
-    EXPECT_EQ(sa.cache_hits, 0u);
-    EXPECT_EQ(sa.ok, 1u);
-    session_stats sb = tenant_b->stats();
-    EXPECT_EQ(sb.queries, 1u);
-    EXPECT_EQ(sb.cache_hits, 1u);
-    EXPECT_EQ(sb.completed, 1u);
-    // The engine-wide counters are the union of the slices.
-    EXPECT_EQ(engine.stats().queries, 2u);
-    EXPECT_EQ(engine.stats().cache_hits, 1u);
-    EXPECT_EQ(engine.stats().solver_runs, 1u);
-}
-
-TEST(engine_session, malformed_and_budgeted_statuses_land_in_the_slice) {
-    smt::term_manager tm;
-    smt_engine engine(tm, {.use_cache = false});
-    auto session = engine.open_session("tenant");
-    solve_request bad;
-    bad.assertions = {smt::term{}};
-    EXPECT_EQ(session->submit(std::move(bad)).get().status, solve_status::malformed);
-
-    smt::term a = tm.mk_bv_var("a", 12);
-    smt::term b = tm.mk_bv_var("b", 12);
-    smt::term hard = tm.mk_distinct(tm.mk_bvmul(a, tm.mk_bvadd(b, b)),
-                                    tm.mk_bvadd(tm.mk_bvmul(a, b), tm.mk_bvmul(a, b)));
-    strategy budgeted = strategy::single();
-    budgeted.conflict_budget = 1;
-    backend_result capped = session->solve({{hard}, {}, budgeted});
-    EXPECT_EQ(capped.ans, answer::unknown);
-    EXPECT_EQ(capped.status, solve_status::over_budget);
-
-    session_stats stats = session->stats();
-    EXPECT_EQ(stats.queries, 2u);
-    EXPECT_EQ(stats.malformed, 1u);
-    EXPECT_EQ(stats.over_budget, 1u);
-    EXPECT_EQ(stats.ok, 0u);
-}
-
-TEST(engine_session, engines_share_one_external_pool) {
+TEST(shared_pool, engines_share_one_external_pool) {
     // The daemon topology: per-tenant term managers and engines over ONE
     // worker pool (engine_config::shared_pool). Destroying an engine must
     // not tear the pool down under the other tenant.

@@ -7,7 +7,7 @@ existing heading). External http(s) links are not fetched — CI must stay
 hermetic — but their syntax is validated. Exits non-zero on any broken
 link, printing one line per failure.
 
-Usage: tools/check_links.py README.md docs/*.md
+Usage: tools/check_links.py README.md ROADMAP.md docs/*.md
 """
 
 import re
