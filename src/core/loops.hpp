@@ -85,10 +85,7 @@ struct ogis_result {
 ///                                     candidate differs, or nullopt if the
 ///                                     candidate is semantically unique in C_H;
 ///  oracle(input)                   -> the specification's output.
-/// `initial_examples` are I/O pairs already revealed by the oracle (e.g.
-/// seed inputs labelled in parallel before the loop starts); they are
-/// adopted verbatim without further oracle queries. `seed_inputs` are
-/// labelled through `oracle` as before.
+/// `seed_inputs` are labelled through `oracle` before the first round.
 template <typename Candidate, typename Input, typename Output>
 ogis_result<Candidate, Input, Output> run_ogis(
     const std::function<std::optional<Candidate>(
@@ -97,10 +94,8 @@ ogis_result<Candidate, Input, Output> run_ogis(
         const Candidate&, const std::vector<std::pair<Input, Output>>&)>& distinguish,
     const std::function<Output(const Input&)>& oracle,
     int max_iterations,
-    std::vector<Input> seed_inputs = {},
-    std::vector<std::pair<Input, Output>> initial_examples = {}) {
+    std::vector<Input> seed_inputs = {}) {
     ogis_result<Candidate, Input, Output> result;
-    result.examples = std::move(initial_examples);
     for (const Input& in : seed_inputs) {
         result.examples.emplace_back(in, oracle(in));
         ++result.oracle_queries;

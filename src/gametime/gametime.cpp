@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "substrate/thread_pool.hpp"
-
 namespace sciduction::gametime {
 
 // ---- platform ---------------------------------------------------------------
@@ -84,63 +82,23 @@ basis_info extract_basis_paths(const ir::cfg& g, substrate::smt_engine& engine,
     path_enumerator paths(g);
 
     // Candidates are rank-tested (cheap, exact) and only rank-increasing
-    // ones consult the SMT substrate. In batch mode, candidates are pulled
-    // in waves whose feasibility queries run concurrently (each worker on
-    // its own term_manager — the query is path-local and deterministic, so
-    // the answers match the sequential ones bit-for-bit) before the rank
-    // logic is replayed in enumeration order.
-    const std::size_t wave =
-        cfg.batch_threads > 1 ? static_cast<std::size_t>(cfg.batch_threads) * 4 : 1;
-    std::optional<substrate::thread_pool> pool;
-    if (cfg.batch_threads > 1) pool.emplace(cfg.batch_threads);
+    // ones consult the SMT substrate. The limit only matters when another
+    // candidate would actually be considered: a basis completing within it
+    // returns normally.
     while (echelon.rank() < target) {
-        // A wave never pulls past the enumeration limit: the limit check
-        // happens after the wave is processed, so a basis completing within
-        // the limit returns normally in both modes.
-        std::vector<ir::path> candidates;
-        bool at_limit = false;
-        while (candidates.size() < wave) {
-            if (info.paths_considered == cfg.enumeration_limit) {
-                at_limit = true;
-                break;
-            }
-            auto p = paths.next();
-            if (!p) break;
-            ++info.paths_considered;
-            candidates.push_back(std::move(*p));
+        auto p = paths.next();
+        if (!p) break;  // enumeration exhausted
+        if (info.paths_considered == cfg.enumeration_limit)
+            throw std::runtime_error("extract_basis_paths: enumeration limit exceeded");
+        ++info.paths_considered;
+        util::rvector v = g.edge_vector(*p);
+        if (!echelon.is_independent(v)) continue;
+        ++info.smt_queries;
+        if (auto witness = ir::feasible_path_witness(g, *p, engine)) {
+            echelon.insert(v);
+            info.paths.push_back(std::move(*p));
+            info.tests.push_back(std::move(*witness));
         }
-
-        std::vector<std::optional<std::vector<std::uint64_t>>> witnesses(candidates.size());
-        if (pool) {
-            info.speculative_queries += candidates.size();
-            pool->parallel_for(candidates.size(), [&](std::size_t i) {
-                smt::term_manager local_tm;
-                witnesses[i] = ir::feasible_path_witness(g, candidates[i], local_tm);
-            });
-        }
-        for (std::size_t i = 0; i < candidates.size() && echelon.rank() < target; ++i) {
-            util::rvector v = g.edge_vector(candidates[i]);
-            if (!echelon.is_independent(v)) continue;
-            ++info.smt_queries;
-            auto witness = pool ? std::move(witnesses[i])
-                                : ir::feasible_path_witness(g, candidates[i], engine);
-            if (witness) {
-                echelon.insert(v);
-                info.paths.push_back(candidates[i]);
-                info.tests.push_back(std::move(*witness));
-            }
-        }
-        if (echelon.rank() >= target) break;
-        if (at_limit) {
-            // Sequential semantics: exceeding the limit only matters when
-            // another candidate would actually be considered.
-            if (paths.next()) {
-                ++info.paths_considered;
-                throw std::runtime_error("extract_basis_paths: enumeration limit exceeded");
-            }
-            break;
-        }
-        if (candidates.empty()) break;  // enumeration exhausted
     }
 
     std::vector<util::rvector> rows;

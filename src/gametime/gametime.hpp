@@ -64,18 +64,12 @@ struct basis_info {
     util::rmatrix matrix;                           ///< rows = edge vectors (b x m)
     std::size_t paths_considered = 0;               ///< enumeration effort
     std::size_t smt_queries = 0;      ///< rank-increasing candidates consulted
-    std::size_t speculative_queries = 0;  ///< extra checks issued by batch mode
 };
 
 struct basis_config {
+    /// Most paths enumerated before extraction gives up with
+    /// std::runtime_error ("enumeration limit exceeded").
     std::size_t enumeration_limit = 1u << 20;
-    /// Worker threads for batched feasibility checks. 1 = sequential (checks
-    /// issued lazily, only for rank-increasing candidates); >1 = candidate
-    /// paths are enumerated in waves whose feasibility queries run
-    /// concurrently, then the sequential rank logic is replayed over the
-    /// precomputed answers — the extracted basis is identical either way
-    /// (feasibility is path-local), at the cost of speculative solver work.
-    unsigned batch_threads = 1;
 };
 
 /// Extracts a maximal set of linearly independent *feasible* paths, querying

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "substrate/oracle_cache.hpp"
-#include "substrate/thread_pool.hpp"
 
 namespace sciduction::hybrid {
 
@@ -32,8 +31,8 @@ std::optional<state> find_seed(const box& over, const label_fn& label,
 
     // Candidate probe points in scan order — the centre, then the star
     // pattern walking outward along each axis with geometrically-refined
-    // strides. Pure geometry (oracle-free), so the sequence can be
-    // enumerated up front and labelled ahead of the scan.
+    // strides. Pure geometry (oracle-free), so the sequence is enumerated
+    // up front.
     std::vector<state> points{center};
     const std::size_t point_cap = static_cast<std::size_t>(std::max(cfg.max_seed_probes, 0)) + 1;
     for (int pass = 1; pass <= 4 && points.size() < point_cap; ++pass) {
@@ -57,39 +56,13 @@ std::optional<state> find_seed(const box& over, const label_fn& label,
     }
 
     // The scan consumes the sequence in order and stops at the first
-    // positive, so the seed found and the budget accounting are identical
-    // whether the labels were computed on demand (sequential) or ahead in
-    // speculative parallel waves.
-    if (cfg.probe_threads <= 1) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (i > 0 && static_cast<int>(stats.seed_probes) >= cfg.max_seed_probes)
-                return std::nullopt;
-            ++stats.seed_probes;
-            ++stats.queries;
-            if (label(points[i])) return points[i];
-        }
-        return std::nullopt;
-    }
-
-    substrate::thread_pool pool(cfg.probe_threads);
-    std::vector<char> labels(points.size(), 0);
-    std::size_t labelled = 0;
-    const std::size_t wave = static_cast<std::size_t>(cfg.probe_threads) * 2;
-    auto ensure_labelled = [&](std::size_t i) {
-        if (i < labelled) return;
-        const std::size_t base = labelled;
-        const std::size_t hi = std::min(points.size(), i + wave);
-        pool.parallel_for(hi - base,
-                          [&](std::size_t k) { labels[base + k] = label(points[base + k]) ? 1 : 0; });
-        labelled = hi;
-    };
+    // positive.
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (i > 0 && static_cast<int>(stats.seed_probes) >= cfg.max_seed_probes)
             return std::nullopt;
-        ensure_labelled(i);
         ++stats.seed_probes;
         ++stats.queries;
-        if (labels[i] != 0) return points[i];
+        if (label(points[i])) return points[i];
     }
     return std::nullopt;
 }
@@ -163,11 +136,6 @@ box learn_guard(const box& over, const label_fn& label, const learner_config& cf
                 learner_stats& stats) {
     if (cfg.grid.size() != over.dim())
         throw std::invalid_argument("learn_guard: grid/box dimension mismatch");
-    if (!cfg.cache_queries) {
-        auto seed = find_seed(over, label, cfg, stats);
-        if (!seed) return box::empty_box(over.dim());
-        return learn_box(over, *seed, label, cfg, stats);
-    }
     // Route membership queries through a substrate oracle cache scoped to
     // this call (the oracle's semantics are fixed within one learn_guard).
     substrate::oracle_cache<state, bool, substrate::byte_vector_hash> cache;
@@ -178,11 +146,7 @@ box learn_guard(const box& over, const label_fn& label, const learner_config& cf
         });
     };
     box result;
-    // The memoizing wrapper is not thread-safe: a wave-parallel seed scan
-    // labels through the raw oracle (find_seed keeps its own wave store)
-    // and only the sequential corner search routes through the cache.
-    const label_fn& seed_label = cfg.probe_threads > 1 ? label : cached;
-    auto seed = find_seed(over, seed_label, cfg, stats);
+    auto seed = find_seed(over, cached, cfg, stats);
     if (!seed) result = box::empty_box(over.dim());
     else result = learn_box(over, *seed, cached, cfg, stats);
     stats.cache_hits += cache.stats().hits;

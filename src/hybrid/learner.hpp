@@ -32,20 +32,6 @@ struct learner_config {
     /// transiently violated mid-fixpoint, the stride bounds how far a
     /// disconnected positive region can mislead the learner.
     std::vector<double> coarse_step;
-    /// Memoize label-oracle answers for the duration of one learn_guard
-    /// call (substrate::oracle_cache). The seed scan and the per-dimension
-    /// bisections revisit snapped grid points; with a deterministic oracle
-    /// the memoized answers are exact, so the learned box is unchanged —
-    /// only the number of actual oracle invocations drops.
-    bool cache_queries = true;
-    /// Worker threads for the seed scan's membership probes. > 1 labels
-    /// upcoming probe candidates in speculative waves on a substrate pool
-    /// (requires a thread-safe label fn — the simulator-backed oracles
-    /// only read the system). The seed found, the learned box, and the
-    /// logical query counts (queries / seed_probes) are identical to the
-    /// sequential scan; only oracle_calls / cache_hits differ, since the
-    /// wave store bypasses the (non-thread-safe) memoizing wrapper.
-    unsigned probe_threads = 1;
 };
 
 struct learner_stats {
@@ -67,7 +53,11 @@ std::optional<state> find_seed(const box& over, const label_fn& label,
 box learn_box(const box& over, const state& seed, const label_fn& label,
               const learner_config& cfg, learner_stats& stats);
 
-/// find_seed + learn_box; empty box when no seed is found.
+/// find_seed + learn_box; empty box when no seed is found. Membership
+/// queries are memoized for the duration of the call
+/// (substrate::oracle_cache): the seed scan and the per-dimension
+/// bisections revisit snapped grid points, so `oracle_calls` counts the
+/// distinct points labelled and `cache_hits` the repeats.
 box learn_guard(const box& over, const label_fn& label, const learner_config& cfg,
                 learner_stats& stats);
 

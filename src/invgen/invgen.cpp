@@ -1,6 +1,5 @@
 #include "invgen/invgen.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include "sat/gates.hpp"
 #include "substrate/query_cache.hpp"
 #include "substrate/solve_request.hpp"
-#include "substrate/thread_pool.hpp"
 
 namespace sciduction::invgen {
 
@@ -118,8 +116,9 @@ sat::lit violation_literal(sat::gate_encoder& gates, const std::vector<sat::lit>
 /// Builds one refinement-round CNF instance into `solver`: two time frames,
 /// candidate assumptions (inductive step only), and the "some candidate is
 /// violated" clause. Returns the per-candidate violation literals.
-/// Construction is fully deterministic, so every portfolio member gets the
-/// identical CNF with identical variable numbering.
+/// Construction is fully deterministic, so a rebuilt instance has the
+/// identical CNF with identical variable numbering (the cache's
+/// fingerprint contract).
 std::vector<sat::lit> build_refinement_instance(const circuit_t& circuit,
                                                 const std::vector<candidate>& candidates,
                                                 bool inductive_step, sat::solver& solver) {
@@ -147,31 +146,19 @@ bool model_lit_true(const std::vector<sat::lbool>& model, sat::lit l) {
 
 /// One refinement round: returns false when the current candidate set is
 /// consistent (query UNSAT); otherwise drops every candidate violated in
-/// the model and returns true. The query routes through the substrate's
-/// unified strategy dispatcher: a single solve, or — with
-/// cfg.portfolio_members > 1 — diversified instances racing.
+/// the model and returns true. The query is one single solve through
+/// solve_cnf.
 bool refine_round(const circuit_t& circuit, std::vector<candidate>& candidates,
-                  bool inductive_step, const invgen_config& cfg,
-                  substrate::query_cache* cache) {
-    // Violation literals are identical in every member (deterministic
-    // construction); each builder call records its own copy and the
-    // winner's is used to read the model. A member may be skipped entirely
-    // when the race is already decided, so only the winner's slot is
-    // guaranteed.
-    std::vector<std::vector<sat::lit>> member_violations(std::max(1u, cfg.portfolio_members));
-    substrate::strategy strat = cfg.portfolio_members > 1
-                                    ? substrate::strategy::portfolio(cfg.portfolio_members)
-                                    : substrate::strategy::single();
+                  bool inductive_step, substrate::query_cache* cache) {
+    std::vector<sat::lit> violations;
     auto outcome = substrate::solve_cnf(
-        [&](unsigned member, sat::solver& solver) {
-            member_violations[member] =
-                build_refinement_instance(circuit, candidates, inductive_step, solver);
+        [&](unsigned, sat::solver& solver) {
+            violations = build_refinement_instance(circuit, candidates, inductive_step, solver);
         },
-        strat, cfg.portfolio_threads, {}, cache);
+        substrate::strategy::single(), 1, {}, cache);
     if (outcome.result.is_unsat()) return false;
     if (!outcome.result.is_sat())
         throw std::runtime_error("refine_round: substrate returned unknown");
-    const std::vector<sat::lit>& violations = member_violations[outcome.winner];
     std::vector<candidate> kept;
     kept.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i)
@@ -264,8 +251,8 @@ invgen_result generate_invariants(const aig::aig& circuit, const invgen_config& 
     std::size_t before = candidates.size();
     for (int iter = 0; iter < cfg.max_induction_iterations && !candidates.empty(); ++iter) {
         ++result.induction_iterations;
-        if (!refine_round(circuit, candidates, /*inductive_step=*/false, cfg, cache.get()) &&
-            !refine_round(circuit, candidates, /*inductive_step=*/true, cfg, cache.get()))
+        if (!refine_round(circuit, candidates, /*inductive_step=*/false, cache.get()) &&
+            !refine_round(circuit, candidates, /*inductive_step=*/true, cache.get()))
             break;
     }
     result.dropped_by_induction = before - candidates.size();
@@ -277,27 +264,22 @@ bool prove_with_invariants(const aig::aig& circuit, aig::literal prop,
                            const std::vector<candidate>& invariants,
                            const proof_config& cfg) {
     // With a cache_path, both queries persist across runs under the CNF
-    // fingerprint (the cache is internally locked, so the batched mode's
-    // concurrent base/step proofs share it safely).
+    // fingerprint.
     std::unique_ptr<substrate::query_cache> cache;
     if (!cfg.cache_path.empty())
         cache = std::make_unique<substrate::query_cache>(cfg.cache_path);
+    auto holds = [&](const substrate::cnf_builder& build) {
+        return substrate::solve_cnf(build, substrate::strategy::single(), 1, {}, cache.get())
+            .result.is_unsat();
+    };
     // Base: the property holds in the initial state (for all inputs).
-    auto base_holds = [&] {
-        auto outcome = substrate::solve_cnf(
-            [&](unsigned, sat::solver& solver) {
-                sat::gate_encoder gates(solver);
-                frames fr = build_frames(circuit, gates, /*init_frame0=*/true);
-                solver.add_clause(~circuit_t::sat_literal(fr.f0, prop));
-            },
-            substrate::strategy::single(), 1, {}, cache.get());
-        return outcome.result.is_unsat();
+    auto base = [&](unsigned, sat::solver& solver) {
+        sat::gate_encoder gates(solver);
+        frames fr = build_frames(circuit, gates, /*init_frame0=*/true);
+        solver.add_clause(~circuit_t::sat_literal(fr.f0, prop));
     };
     // Step: invariants + property in frame 0 imply the property in frame 1.
-    // Construction is deterministic, so every shard replica rebuilds the
-    // identical CNF with identical variable numbering (the cube-transfer
-    // contract of substrate::solve_cubes).
-    auto build_step = [&](sat::solver& solver) {
+    auto step = [&](unsigned, sat::solver& solver) {
         sat::gate_encoder gates(solver);
         frames fr = build_frames(circuit, gates, /*init_frame0=*/false);
         for (const candidate& c : invariants) {
@@ -307,29 +289,7 @@ bool prove_with_invariants(const aig::aig& circuit, aig::literal prop,
         solver.add_clause(circuit_t::sat_literal(fr.f0, prop));
         solver.add_clause(~circuit_t::sat_literal(fr.f1, prop));
     };
-    auto step_holds = [&] {
-        // Route through the substrate's unified strategy dispatcher: a
-        // plain solve, or — with cfg.shard_depth > 0 — cube-and-conquer
-        // (lookahead on a prototype picks the split variables, then the
-        // cube tree races on a pool).
-        substrate::strategy strat = cfg.shard_depth > 0
-                                        ? substrate::strategy::shard(cfg.shard_depth)
-                                        : substrate::strategy::single();
-        auto outcome = substrate::solve_cnf(
-            [&](unsigned, sat::solver& solver) { build_step(solver); }, strat,
-            cfg.shard_threads, {}, cache.get());
-        return outcome.result.is_unsat();
-    };
-    if (cfg.batch_threads <= 1) return base_holds() && step_holds();
-    // The two queries are independent: batch them on the substrate pool.
-    bool base_ok = false;
-    bool step_ok = false;
-    substrate::thread_pool pool(cfg.batch_threads);
-    pool.parallel_for(2, [&](std::size_t i) {
-        if (i == 0) base_ok = base_holds();
-        else step_ok = step_holds();
-    });
-    return base_ok && step_ok;
+    return holds(base) && holds(step);
 }
 
 core::structure_hypothesis invariant_form_hypothesis() {

@@ -43,14 +43,6 @@ struct invgen_config {
     bool include_implications = false;  ///< O(n^2) candidates; off by default
     int max_induction_iterations = 64;
     std::uint64_t seed = 8;
-    /// Diversified SAT instances raced per induction query via the
-    /// substrate portfolio (1 = single solver). The sat/unsat answer of
-    /// every query is deterministic either way; with >1 member, *which*
-    /// counterexample-to-induction prunes the candidates depends on the
-    /// winning member, so the (still correct, still inductive) fixpoint may
-    /// differ between runs.
-    unsigned portfolio_members = 1;
-    unsigned portfolio_threads = 0;  ///< 0 = hardware concurrency
     /// Warm start: persist the refinement rounds' CNF-level results at
     /// this path (substrate fingerprint cache, see docs/CACHING.md). The
     /// candidate generation is seeded, so a repeated run issues the
@@ -73,20 +65,9 @@ struct invgen_result {
 /// remaining set is inductive).
 invgen_result generate_invariants(const aig::aig& circuit, const invgen_config& cfg = {});
 
-/// Substrate routing for prove_with_invariants: the base-case and
-/// inductive-step queries are independent, so with batch_threads > 1 they
-/// are dispatched concurrently (both always run); with 1 they run
-/// sequentially with short-circuiting. The verdict is identical either way.
-/// With shard_depth > 0 the inductive-step query — the hard half of the
-/// proof (two time frames plus every invariant assumed) — is decided by
-/// cube-and-conquer across shard_threads workers instead of a single
-/// solver instance; the verdict is again identical (the shard layer's
-/// all-UNSAT aggregation is deterministic, and a SAT cube is a genuine
-/// counterexample-to-induction whichever cube finds it).
+/// Options of prove_with_invariants, which decides the base case and then,
+/// if it holds, the inductive step, each as one single solve.
 struct proof_config {
-    unsigned batch_threads = 1;
-    unsigned shard_depth = 0;    ///< 0 = single-instance inductive-step solve
-    unsigned shard_threads = 0;  ///< 0 = hardware concurrency
     /// Warm start: persist the base-case and inductive-step results at
     /// this path (substrate fingerprint cache, see docs/CACHING.md), so
     /// re-proving the same property under the same invariants answers

@@ -29,8 +29,7 @@ public:
                  std::vector<std::string> output_globals = {});
 
     /// Thread-safe: the interpreter only reads the program, and the query
-    /// counter is atomic — which is what lets seed labelling dispatch
-    /// through substrate::parallel_map.
+    /// counter is atomic.
     io_vector query(const io_vector& input) override;
 
     [[nodiscard]] const ir::program& program() const { return program_; }

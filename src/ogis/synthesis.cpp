@@ -214,23 +214,35 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
         return assertions;
     };
 
-    auto extract_program = [&](const smt::env& model) {
-        substrate::model_evaluator eval(tm, model);
+    // Every query flows through the one submit() entry point as a single
+    // solve (deterministic models, hence a deterministic loop trajectory).
+    // Only queries this run solved count conflicts: a cache hit or a
+    // coalesced duplicate reports the conflicts of a solve it did not run.
+    auto decide = [&](std::vector<term> assertions) {
+        auto handle = engine.submit(std::move(assertions), substrate::strategy::single());
+        substrate::backend_result result = handle.get();
+        const substrate::request_stats s = handle.stats();
+        if (!s.cache_hit && !s.coalesced) outcome.stats.conflicts += s.conflicts;
+        return result;
+    };
+
+    auto synth = [&](const std::vector<example>& examples) -> std::optional<lf_program> {
+        ++outcome.stats.synthesis_queries;
+        auto result = decide(example_assertions(examples));
+        if (!result.is_sat()) return std::nullopt;
+        substrate::model_evaluator eval(tm, std::move(result.model));
         return enc.extract([&](term t) { return eval.value(t); });
     };
 
-    // The symbolic input driving both the rival encoding and a candidate in
-    // a distinguishing query. Terms are hash-consed by name, so rebuilding
-    // these per round reuses the same nodes (which also keys the cache).
-    auto distinguish_input = [&]() {
+    auto distinguish = [&](const lf_program& candidate,
+                           const std::vector<example>& examples) -> std::optional<io_vector> {
+        ++outcome.stats.distinguish_queries;
+        // The symbolic input driving both the rival encoding and the
+        // candidate. Terms are hash-consed by name, so rebuilding these per
+        // round reuses the same nodes (which also keys the cache).
         std::vector<term> x;
         for (unsigned i = 0; i < cfg.num_inputs; ++i)
             x.push_back(tm.mk_bv_var("dx_" + std::to_string(i), cfg.width));
-        return x;
-    };
-    auto distinguish_assertions = [&](const lf_program& candidate,
-                                      const std::vector<example>& examples,
-                                      const std::vector<term>& x) {
         std::vector<term> assertions = example_assertions(examples);
         auto exec = enc.encode_execution("d", x);
         assertions.push_back(exec.constraint);
@@ -239,36 +251,7 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
         for (unsigned k = 0; k < cfg.num_outputs; ++k)
             differs.push_back(tm.mk_distinct(exec.outputs[k], cand_out[k]));
         assertions.push_back(tm.mk_or(differs));
-        return assertions;
-    };
-
-    // Every query flows through the one submit() entry point as a single
-    // solve (deterministic models, hence a deterministic loop trajectory).
-    // Only queries this run solved count conflicts: a cache hit or a
-    // coalesced duplicate reports the conflicts of a solve it did not run.
-    auto count_conflicts = [&](const substrate::query_handle& handle) {
-        const substrate::request_stats s = handle.stats();
-        if (!s.cache_hit && !s.coalesced) outcome.stats.conflicts += s.conflicts;
-    };
-    auto decide = [&](std::vector<term> assertions) {
-        auto handle = engine.submit(std::move(assertions), substrate::strategy::single());
-        substrate::backend_result result = handle.get();
-        count_conflicts(handle);
-        return result;
-    };
-
-    auto synth = [&](const std::vector<example>& examples) -> std::optional<lf_program> {
-        ++outcome.stats.synthesis_queries;
-        auto result = decide(example_assertions(examples));
-        if (!result.is_sat()) return std::nullopt;
-        return extract_program(result.model);
-    };
-
-    auto distinguish = [&](const lf_program& candidate,
-                           const std::vector<example>& examples) -> std::optional<io_vector> {
-        ++outcome.stats.distinguish_queries;
-        std::vector<term> x = distinguish_input();
-        auto result = decide(distinguish_assertions(candidate, examples, x));
+        auto result = decide(std::move(assertions));
         if (!result.is_sat()) return std::nullopt;
         substrate::model_evaluator eval(tm, std::move(result.model));
         io_vector input;
@@ -290,117 +273,8 @@ synthesis_outcome synthesize(const synthesis_config& cfg, spec_oracle& oracle) {
         seeds.push_back(std::move(in));
     }
 
-    // Seed labelling: with oracle_threads > 1 the seed oracle queries are
-    // independent read-only evaluations, so they dispatch concurrently
-    // through the substrate (same I/O pairs, same order).
-    std::vector<example> seed_examples;
-    if (cfg.oracle_threads > 1 && !seeds.empty()) {
-        std::vector<io_vector> outputs = substrate::parallel_map<io_vector>(
-            seeds.size(), cfg.oracle_threads,
-            [&](std::size_t i) { return oracle.query(seeds[i]); });
-        outcome.stats.oracle_queries += seeds.size();
-        seed_examples.reserve(seeds.size());
-        for (std::size_t i = 0; i < seeds.size(); ++i)
-            seed_examples.emplace_back(std::move(seeds[i]), std::move(outputs[i]));
-        seeds.clear();
-    }
-
-    core::ogis_result<lf_program, io_vector, io_vector> loop;
-    if (!cfg.overlap_queries) {
-        loop = core::run_ogis<lf_program, io_vector, io_vector>(
-            synth, distinguish, ask_oracle, cfg.max_iterations, std::move(seeds),
-            std::move(seed_examples));
-    } else {
-        // Speculatively pipelined OGIS: whenever the candidate carried over
-        // from the previous round (the oracle agreed with it), the
-        // distinguishing query and a re-synthesis over the same examples
-        // run concurrently through the engine's async API — the overlap the
-        // sequential loop cannot express. Every candidate this loop uses is
-        // checked consistent with all revealed examples, so success /
-        // unrealizable verdicts rest on the same deductive facts as the
-        // sequential loop's; only the trajectory may differ.
-        loop.examples = std::move(seed_examples);
-        for (io_vector& in : seeds) {
-            io_vector out = ask_oracle(in);
-            loop.examples.emplace_back(std::move(in), std::move(out));
-        }
-        auto consistent = [&](const lf_program& prog, const example& e) {
-            return prog.eval(cfg.library, e.first) == e.second;
-        };
-        std::optional<lf_program> candidate;
-        for (loop.iterations = 1; loop.iterations <= cfg.max_iterations; ++loop.iterations) {
-            bool fresh = false;
-            if (!candidate) {
-                ++outcome.stats.synthesis_queries;
-                auto r = decide(example_assertions(loop.examples));
-                if (!r.is_sat()) {
-                    loop.status = core::loop_status::unrealizable;
-                    break;
-                }
-                candidate = extract_program(r.model);
-                fresh = true;
-            }
-            // Build every term both queries need *before* launching them:
-            // solving backends read the shared term manager, so no term may
-            // be created while the futures are in flight.
-            std::vector<term> x = distinguish_input();
-            std::vector<term> dist_asserts = distinguish_assertions(*candidate, loop.examples, x);
-            std::vector<term> synth_asserts = example_assertions(loop.examples);
-            ++outcome.stats.distinguish_queries;
-            auto dist_handle =
-                engine.submit(std::move(dist_asserts), substrate::strategy::single());
-            substrate::query_handle spec_handle;
-            const bool speculated = !fresh;
-            if (speculated) {
-                // A freshly-synthesized candidate's re-synthesis would be an
-                // instant cache hit of its own query; only a carried-over
-                // candidate makes the speculation a real overlapped solve.
-                ++outcome.stats.speculative_queries;
-                spec_handle =
-                    engine.submit(std::move(synth_asserts), substrate::strategy::single());
-            }
-            auto settle_speculation = [&] {
-                if (!speculated) return;
-                spec_handle.wait();
-                count_conflicts(spec_handle);
-            };
-            substrate::backend_result dist = dist_handle.get();
-            count_conflicts(dist_handle);
-            if (!dist.is_sat()) {
-                settle_speculation();
-                loop.status = core::loop_status::success;
-                loop.artifact = std::move(candidate);
-                break;
-            }
-            substrate::model_evaluator eval(tm, dist.model);
-            io_vector input;
-            for (unsigned i = 0; i < cfg.num_inputs; ++i) input.push_back(eval.value(x[i]));
-            example e{input, ask_oracle(input)};
-            loop.examples.push_back(e);
-            if (consistent(*candidate, e)) {
-                // Candidate survives; the speculation (if any) must resolve
-                // before the next round builds terms.
-                settle_speculation();
-                continue;
-            }
-            candidate.reset();
-            if (speculated) {
-                const substrate::backend_result spec = spec_handle.get();
-                count_conflicts(spec_handle);
-                if (!spec.is_sat()) {
-                    // Defensive: cannot happen while `candidate` witnessed
-                    // consistency, but an unsat here would mean even the
-                    // smaller example set admits no program.
-                    loop.status = core::loop_status::unrealizable;
-                    break;
-                }
-                lf_program rival = extract_program(spec.model);
-                // Adopt the speculative program when it already satisfies
-                // the new example; otherwise re-synthesize next round.
-                if (consistent(rival, e)) candidate = std::move(rival);
-            }
-        }
-    }
+    auto loop = core::run_ogis<lf_program, io_vector, io_vector>(
+        synth, distinguish, ask_oracle, cfg.max_iterations, std::move(seeds));
 
     outcome.status = loop.status;
     outcome.program = std::move(loop.artifact);

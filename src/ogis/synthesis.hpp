@@ -44,29 +44,12 @@ struct synthesis_config {
     /// Engine for the synthesis/distinguishing queries, each submitted as
     /// a single solve so the models — and hence the candidate programs —
     /// stay deterministic. The default (cache on) reproduces the
-    /// historical behaviour; `engine.threads` sizes the pool the
-    /// overlapped queries run on.
+    /// historical behaviour.
     /// Setting `engine.cache_path` persists the query cache across runs:
     /// the cache key is structural, so a re-run (fresh term_manager and
     /// all) answers its repeated synthesis/distinguish queries from the
     /// file with remapped, evaluation-verified models (docs/CACHING.md).
     substrate::engine_config engine;
-    /// Overlap each round's synthesis and distinguishing queries through
-    /// the engine's async API: whenever the current candidate survives an
-    /// oracle answer, the next distinguishing query and a speculative
-    /// re-synthesis run concurrently (the speculation is a free cache hit
-    /// when the candidate was freshly synthesized). The returned program
-    /// carries the same guarantee — every candidate is checked consistent
-    /// with all revealed examples, and the success / unrealizable verdicts
-    /// are reached by the same deductive arguments — but the exact
-    /// iteration trajectory may differ from the sequential loop (as with
-    /// any speculative CEGIS pipelining).
-    bool overlap_queries = false;
-    /// Worker threads labelling the seed examples through
-    /// substrate::parallel_map before the loop starts. > 1 requires a
-    /// thread-safe oracle (the built-in benchmark oracles are); 1 labels
-    /// sequentially inside the loop, as before.
-    unsigned oracle_threads = 1;
 };
 
 struct synthesis_stats {
@@ -74,7 +57,6 @@ struct synthesis_stats {
     std::uint64_t oracle_queries = 0;
     int synthesis_queries = 0;
     int distinguish_queries = 0;
-    int speculative_queries = 0;  ///< overlapped re-synthesis solves launched
     std::uint64_t substrate_cache_hits = 0;  ///< solver queries answered memoized
     std::uint64_t solver_runs = 0;           ///< solver instances actually run
     /// Solver conflicts of the queries this run solved; a cache hit or a

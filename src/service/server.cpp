@@ -393,16 +393,22 @@ void server::handle_readable(connection& conn) {
 }
 
 bool server::handle_frame(connection& conn, const frame& f) {
+    // Answers a protocol violation with an error frame; the caller then
+    // closes the connection.
+    auto refuse = [&](const std::string& why) {
+        c_protocol_errors_.add();
+        wire_writer w;
+        w.str(why);
+        conn.send({op::error, w.take()});
+        return false;
+    };
     try {
-        if (!conn.greeted && f.opcode != op::hello) {
-            c_protocol_errors_.add();
-            wire_writer w;
-            w.str("expected hello");
-            conn.send({op::error, w.take()});
-            return false;
-        }
+        if (!conn.greeted && f.opcode != op::hello) return refuse("expected hello");
         switch (f.opcode) {
             case op::hello: {
+                // Solves of a greeted connection may still run on its
+                // engine, which a second hello would rebuild under them.
+                if (conn.greeted) return refuse("already greeted");
                 wire_reader r(f.payload);
                 const std::uint32_t version = r.u32();
                 std::string name = r.str();
@@ -510,20 +516,11 @@ bool server::handle_frame(connection& conn, const frame& f) {
                 begin_drain(policy == 1 ? drain_policy::cancel : drain_policy::finish);
                 return true;
             }
-            default: {
-                c_protocol_errors_.add();
-                wire_writer w;
-                w.str("unknown opcode");
-                conn.send({op::error, w.take()});
-                return false;
-            }
+            default:
+                return refuse("unknown opcode");
         }
     } catch (const wire_error& e) {
-        c_protocol_errors_.add();
-        wire_writer w;
-        w.str(std::string("malformed frame: ") + e.what());
-        conn.send({op::error, w.take()});
-        return false;
+        return refuse(std::string("malformed frame: ") + e.what());
     }
 }
 

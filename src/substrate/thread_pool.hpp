@@ -2,15 +2,13 @@
 /// Fixed-size worker pool shared by the substrate's batch and portfolio
 /// dispatchers, with fair dispatch lanes for multi-tenant serving.
 ///
-/// The sciduction loops issue thousands of independent oracle queries
-/// (basis-path feasibility, candidate checks, invariant refinements); this
-/// pool is the single place concurrency lives, so every higher layer stays
-/// free of raw thread management. Tasks are type-erased thunks; results
+/// A request's `strategy` is the one place concurrency is chosen, and this
+/// pool is where it runs, so the application loops above the substrate
+/// stay free of thread management. Tasks are type-erased thunks; results
 /// flow back through the futures returned by submit() or through the
 /// caller's own slots in parallel_for. `smt_engine` holds one pool per
 /// workload (created lazily, shared by every race/batch/shard/async
-/// request), so thread spawn cost is paid once; `parallel_map` spins up a
-/// transient pool for one-shot fan-outs.
+/// request), so thread spawn cost is paid once.
 ///
 /// Dispatch lanes (`create_lane`) are the fairness hook the serving layer
 /// needs: each lane holds its own FIFO queue and workers drain the lanes in
@@ -183,18 +181,5 @@ private:
     sd::condition_variable wake_;
     bool stopping_ SD_GUARDED_BY(mutex_) = false;
 };
-
-/// Maps fn over [0, n) with `threads` workers (0 = default_concurrency) and
-/// returns the results in index order. A transient pool is spun up per call;
-/// for steady-state use, hold a thread_pool and use parallel_for.
-template <typename R>
-std::vector<R> parallel_map(std::size_t n, unsigned threads,
-                            const std::function<R(std::size_t)>& fn) {
-    std::vector<R> results(n);
-    if (n == 0) return results;
-    thread_pool pool(threads);
-    pool.parallel_for(n, [&](std::size_t i) { results[i] = fn(i); });
-    return results;
-}
 
 }  // namespace sciduction::substrate

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "gametime/gametime.hpp"
 #include "util/histogram.hpp"
@@ -66,6 +68,39 @@ TEST(basis_extraction, infeasible_paths_excluded) {
     EXPECT_EQ(basis.paths.size(), 3u);
     for (std::size_t i = 0; i < basis.paths.size(); ++i)
         EXPECT_EQ(g.trace(basis.tests[i]).taken, basis.paths[i]);
+}
+
+TEST(basis_extraction, enumeration_limit_boundary) {
+    // Three independent branches: 8 paths and basis dimension 4, and the
+    // basis completes only at the eighth path. Every smaller limit runs
+    // out first; a limit of 8 returns normally.
+    ir::program p = ir::parse_program(R"(
+        int f(int x) {
+          int a = 0;
+          if (x > 10) { a = 1; }
+          if (x < 5) { a = a + 2; }
+          if (x == 7) { a = a + 4; }
+          return a;
+        }
+    )");
+    ir::cfg g = ir::cfg::build(p, p.functions[0]);
+    ASSERT_EQ(g.basis_dimension(), 4u);
+    for (std::size_t limit = 1; limit < 8; ++limit) {
+        smt::term_manager tm;
+        try {
+            (void)extract_basis_paths(g, tm, limit);
+            ADD_FAILURE() << "limit " << limit << " did not throw";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("enumeration limit exceeded"),
+                      std::string::npos)
+                << "limit " << limit << ": " << e.what();
+        }
+    }
+    smt::term_manager tm;
+    basis_info basis = extract_basis_paths(g, tm, 8);
+    EXPECT_EQ(basis.paths.size(), 4u);
+    EXPECT_EQ(basis.paths_considered, 8u);
+    EXPECT_EQ(basis.smt_queries, 8u);
 }
 
 TEST(learning, model_reproduces_basis_means_exactly) {

@@ -129,40 +129,39 @@ TEST(learner, recovers_synthetic_box_exactly) {
     EXPECT_GT(stats.queries, 0u);
 }
 
-TEST(learner, parallel_seed_scan_matches_sequential) {
-    // The wave-parallel seed scan labels candidates ahead of the in-order
-    // scan: the learned box and the logical query counts must be identical
-    // to the sequential walk, for both a populated and an empty guard.
-    box target;
-    target.lo = {2.5, -1.0};
-    target.hi = {7.25, 3.5};
+TEST(learner, seed_scan_accounting) {
+    // The seed scan and corner search memoize through one oracle cache per
+    // learn_guard call. An empty guard exhausts the scan's 121 probes, 56
+    // of which revisit a snapped grid point; a populated one finds its seed
+    // on the third probe and learns the box in 22 more distinct queries.
     box over;
     over.lo = {0.0, -10.0};
     over.hi = {20.0, 10.0};
-    label_fn label = [&](const state& x) { return target.contains(x); };
-    auto run = [&](unsigned threads, const label_fn& fn) {
+    auto run = [&](const label_fn& label) {
         learner_config cfg;
         cfg.grid = {0.25, 0.5};
-        cfg.probe_threads = threads;
         learner_stats stats;
-        box learned = learn_guard(over, fn, cfg, stats);
+        box learned = learn_guard(over, label, cfg, stats);
         return std::pair{learned, stats};
     };
-    auto [seq_box, seq_stats] = run(1, label);
-    auto [par_box, par_stats] = run(4, label);
-    ASSERT_FALSE(seq_box.empty());
-    ASSERT_FALSE(par_box.empty());
-    EXPECT_EQ(seq_box.lo, par_box.lo);
-    EXPECT_EQ(seq_box.hi, par_box.hi);
-    EXPECT_EQ(seq_stats.queries, par_stats.queries);
-    EXPECT_EQ(seq_stats.seed_probes, par_stats.seed_probes);
 
-    label_fn never = [](const state&) { return false; };
-    auto [seq_empty, seq_empty_stats] = run(1, never);
-    auto [par_empty, par_empty_stats] = run(4, never);
-    EXPECT_TRUE(seq_empty.empty());
-    EXPECT_TRUE(par_empty.empty());
-    EXPECT_EQ(seq_empty_stats.seed_probes, par_empty_stats.seed_probes);
+    auto [empty, never] = run([](const state&) { return false; });
+    EXPECT_TRUE(empty.empty());
+    EXPECT_EQ(never.seed_probes, 121u);
+    EXPECT_EQ(never.queries, 121u);
+    EXPECT_EQ(never.oracle_calls, 65u);
+    EXPECT_EQ(never.cache_hits, 56u);
+
+    box target;
+    target.lo = {2.5, -1.0};
+    target.hi = {7.25, 3.5};
+    auto [learned, found] = run([&](const state& x) { return target.contains(x); });
+    EXPECT_EQ(learned.lo, target.lo);
+    EXPECT_EQ(learned.hi, target.hi);
+    EXPECT_EQ(found.seed_probes, 3u);
+    EXPECT_EQ(found.queries, 25u);
+    EXPECT_EQ(found.oracle_calls, 25u);
+    EXPECT_EQ(found.cache_hits, 0u);
 }
 
 TEST(learner, empty_when_no_positive_region) {

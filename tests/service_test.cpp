@@ -341,6 +341,28 @@ TEST(service_protocol, unknown_opcode_draws_error_and_close) {
     EXPECT_GE(cli.stats().at("server.protocol_errors"), 1u);
 }
 
+TEST(service_protocol, second_hello_draws_error_and_close) {
+    // A greeted connection may have solves running on its tenant's engine,
+    // so a second hello is refused rather than rebuilding that engine.
+    daemon d({.socket_path = {}, .threads = 2});
+    raw_socket raw(d.config.socket_path);
+    ASSERT_GE(raw.fd, 0);
+    raw.send(hello_frame());
+    EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::hello_ok));
+    smt::term_manager tm;
+    raw.send(pack_frame({op::submit, encode_submit(tm, 1, greedy_request(tm))}));
+    EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::submit_ack));
+    raw.send(hello_frame());
+    ASSERT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::error));
+    EXPECT_EQ(raw.read_opcode(), 0u);  // closed once the greedy solve is cancelled
+    smt::term_manager tm_after;
+    client cli(tm_after, d.config.socket_path, "after");
+    const submit_outcome out = cli.submit(tiny_request(tm_after, 7));
+    ASSERT_TRUE(out.accepted);
+    EXPECT_EQ(cli.await(out.request_id).ans, substrate::answer::sat);
+    EXPECT_GE(cli.stats().at("server.protocol_errors"), 1u);
+}
+
 TEST(service_protocol, garbage_submit_payload_is_rejected_not_fatal) {
     daemon d({.socket_path = {}, .threads = 1});
     raw_socket raw(d.config.socket_path);

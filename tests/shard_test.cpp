@@ -5,11 +5,9 @@
 #include <memory>
 
 #include "gametime/gametime.hpp"
-#include "invgen/invgen.hpp"
 #include "ir/parser.hpp"
 #include "ir/symexec.hpp"
 #include "ir/transform.hpp"
-#include "ogis/benchmarks.hpp"
 #include "sat/pigeonhole.hpp"
 #include "cnf_fuzz.hpp"
 #include "engine_test_util.hpp"
@@ -428,66 +426,6 @@ TEST(application_routing, gametime_sharded_wcet_matches_plain) {
     EXPECT_TRUE(
         ir::feasible_path_witness_with(g, expected->longest, sharded, strategy::shard(2)));
     EXPECT_EQ(sharded.stats().dispatched.shard, 1u);
-}
-
-TEST(application_routing, invgen_sharded_step_proof_matches_sequential) {
-    aig::aig circuit;
-    auto a = circuit.add_latch(true);
-    auto b = circuit.add_latch(true);
-    circuit.set_latch_next(a, b);
-    circuit.set_latch_next(b, a);
-    auto result = invgen::generate_invariants(circuit, {.simulation_rounds = 2});
-    bool sequential = invgen::prove_with_invariants(circuit, a, result.proven);
-    bool sharded = invgen::prove_with_invariants(circuit, a, result.proven,
-                                                 {.shard_depth = 2, .shard_threads = 2});
-    EXPECT_EQ(sequential, sharded);
-    EXPECT_TRUE(sharded);
-
-    // And a non-inductive property is rejected identically.
-    aig::aig loose;
-    auto in = loose.add_input();
-    auto l = loose.add_latch(true);
-    loose.set_latch_next(l, in);
-    bool seq_loose = invgen::prove_with_invariants(loose, l, {});
-    bool shard_loose = invgen::prove_with_invariants(loose, l, {},
-                                                     {.shard_depth = 2, .shard_threads = 2});
-    EXPECT_EQ(seq_loose, shard_loose);
-    EXPECT_FALSE(shard_loose);
-}
-
-TEST(application_routing, ogis_overlapped_pipeline_synthesizes_correct_program) {
-    auto bench = ogis::benchmark_p1_interchange();
-    bench.config.overlap_queries = true;
-    bench.config.oracle_threads = 2;
-    bench.config.engine.threads = 2;
-    auto outcome = ogis::run_benchmark(bench);
-    ASSERT_EQ(outcome.status, core::loop_status::success);
-    ASSERT_TRUE(outcome.program.has_value());
-    // The synthesized program must agree with the reference semantics.
-    util::rng rng(123);
-    for (int t = 0; t < 64; ++t) {
-        ogis::io_vector in{rng.next_u64() & 0xffffffffULL, rng.next_u64() & 0xffffffffULL};
-        EXPECT_EQ(outcome.program->eval(bench.config.library, in), bench.reference(in));
-    }
-    EXPECT_GT(outcome.stats.oracle_queries, 0u);
-    EXPECT_GT(outcome.stats.conflicts, 0u);
-}
-
-TEST(application_routing, ogis_parallel_seed_labelling_matches_sequential) {
-    auto sequential_bench = ogis::benchmark_rightmost_off();
-    auto sequential = ogis::run_benchmark(sequential_bench);
-    ASSERT_EQ(sequential.status, core::loop_status::success);
-
-    auto parallel_bench = ogis::benchmark_rightmost_off();
-    parallel_bench.config.oracle_threads = 4;
-    auto parallel = ogis::run_benchmark(parallel_bench);
-    ASSERT_EQ(parallel.status, core::loop_status::success);
-
-    // Same seeds, same labels, same loop: identical program and history.
-    EXPECT_EQ(sequential.program->to_string(sequential_bench.config.library),
-              parallel.program->to_string(parallel_bench.config.library));
-    EXPECT_EQ(sequential.stats.iterations, parallel.stats.iterations);
-    EXPECT_EQ(sequential.stats.oracle_queries, parallel.stats.oracle_queries);
 }
 
 }  // namespace

@@ -7,11 +7,9 @@
 #include <latch>
 #include <mutex>
 #include <numeric>
-#include <set>
 #include <thread>
 
 #include "gametime/gametime.hpp"
-#include "invgen/invgen.hpp"
 #include "ir/parser.hpp"
 #include "ir/transform.hpp"
 #include "ogis/benchmarks.hpp"
@@ -42,11 +40,6 @@ TEST(thread_pool, parallel_for_propagates_exceptions) {
                                        if (i == 7) throw std::runtime_error("boom");
                                    }),
                  std::runtime_error);
-}
-
-TEST(thread_pool, parallel_map_preserves_order) {
-    auto out = parallel_map<std::size_t>(100, 4, [](std::size_t i) { return i * i; });
-    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(thread_pool, submit_returns_future) {
@@ -612,65 +605,6 @@ int modexp(int base, int exponent) {
 }
 )";
 
-TEST(application_routing, gametime_batch_extraction_identical_to_sequential) {
-    ir::program p = ir::parse_program(modexp_src);
-    ir::function f = ir::resolve_static_branches(
-        ir::unroll_loops(*p.find_function("modexp")), p.width);
-    ir::cfg g = ir::cfg::build(p, f);
-
-    smt::term_manager tm_seq;
-    substrate::smt_engine seq_engine(tm_seq);
-    gametime::basis_info sequential = gametime::extract_basis_paths(g, seq_engine);
-
-    smt::term_manager tm_par;
-    substrate::smt_engine par_engine(tm_par);
-    gametime::basis_config cfg;
-    cfg.batch_threads = 4;
-    gametime::basis_info batched = gametime::extract_basis_paths(g, par_engine, cfg);
-
-    EXPECT_EQ(sequential.paths, batched.paths);
-    EXPECT_EQ(sequential.tests, batched.tests);
-    EXPECT_EQ(sequential.smt_queries, batched.smt_queries);
-    EXPECT_GT(batched.speculative_queries, 0u);
-    EXPECT_EQ(sequential.speculative_queries, 0u);
-}
-
-TEST(application_routing, gametime_batch_enumeration_limit_matches_sequential) {
-    // Batch mode must agree with sequential mode on the enumeration-limit
-    // boundary: same basis when the limit suffices, same throw when not.
-    ir::program p = ir::parse_program(R"(
-        int f(int x) {
-          int a = 0;
-          if (x > 10) { a = 1; }
-          if (x < 5) { a = a + 2; }
-          if (x == 7) { a = a + 4; }
-          return a;
-        }
-    )");
-    ir::cfg g = ir::cfg::build(p, p.functions[0]);
-    for (std::size_t limit = 1; limit <= 8; ++limit) {
-        auto run = [&](unsigned threads) -> std::optional<gametime::basis_info> {
-            smt::term_manager tm;
-            substrate::smt_engine engine(tm);
-            gametime::basis_config cfg;
-            cfg.enumeration_limit = limit;
-            cfg.batch_threads = threads;
-            try {
-                return gametime::extract_basis_paths(g, engine, cfg);
-            } catch (const std::runtime_error&) {
-                return std::nullopt;
-            }
-        };
-        auto sequential = run(1);
-        auto batched = run(4);
-        ASSERT_EQ(sequential.has_value(), batched.has_value()) << "limit " << limit;
-        if (sequential) {
-            EXPECT_EQ(sequential->paths, batched->paths) << "limit " << limit;
-            EXPECT_EQ(sequential->tests, batched->tests) << "limit " << limit;
-        }
-    }
-}
-
 TEST(application_routing, gametime_wcet_recheck_hits_cache) {
     ir::program p = ir::parse_program(modexp_src);
     ir::function f = ir::resolve_static_branches(
@@ -705,54 +639,6 @@ TEST(application_routing, ogis_results_identical_through_substrate) {
     EXPECT_EQ(cached.program->to_string(bench.config.library),
               uncached.program->to_string(bench.config.library));
     EXPECT_EQ(cached.stats.iterations, uncached.stats.iterations);
-}
-
-TEST(application_routing, invgen_portfolio_set_is_inductive) {
-    // Stuck latch + two equivalent input-fed latches: constant and
-    // equivalence invariants exist and are 1-inductive.
-    aig::aig circuit;
-    aig::literal in = circuit.add_input();
-    aig::literal stuck = circuit.add_latch(false);
-    aig::literal l1 = circuit.add_latch(false);
-    aig::literal l2 = circuit.add_latch(false);
-    circuit.set_latch_next(stuck, stuck);
-    circuit.set_latch_next(l1, in);
-    circuit.set_latch_next(l2, in);
-
-    auto single = invgen::generate_invariants(circuit, {});
-
-    invgen::invgen_config pcfg;
-    pcfg.portfolio_members = 3;
-    pcfg.portfolio_threads = 3;
-    auto raced = invgen::generate_invariants(circuit, pcfg);
-
-    // Which candidates survive each refinement is answer-determined, and
-    // these candidates are genuinely invariant — so the fixpoints coincide.
-    EXPECT_FALSE(single.proven.empty());
-    EXPECT_FALSE(raced.proven.empty());
-    auto to_strings = [](const std::vector<invgen::candidate>& cs) {
-        std::set<std::string> out;
-        for (const auto& c : cs) out.insert(c.to_string());
-        return out;
-    };
-    EXPECT_EQ(to_strings(single.proven), to_strings(raced.proven));
-    // And the stuck-at-0 latch is proven constant through the portfolio.
-    EXPECT_EQ(invgen::prove_with_invariants(circuit, aig::negate(stuck), single.proven),
-              invgen::prove_with_invariants(circuit, aig::negate(stuck), raced.proven));
-}
-
-TEST(application_routing, invgen_batched_proof_matches_sequential) {
-    aig::aig circuit;
-    auto a = circuit.add_latch(true);
-    auto b = circuit.add_latch(true);
-    circuit.set_latch_next(a, b);
-    circuit.set_latch_next(b, a);
-    auto result = invgen::generate_invariants(circuit, {.simulation_rounds = 2});
-    bool sequential = invgen::prove_with_invariants(circuit, a, result.proven);
-    bool batched = invgen::prove_with_invariants(circuit, a, result.proven,
-                                                 {.batch_threads = 2});
-    EXPECT_EQ(sequential, batched);
-    EXPECT_TRUE(batched);  // a==true is inductive here
 }
 
 }  // namespace

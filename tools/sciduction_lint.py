@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter for the sciduction tree.
 
-Four invariants that neither the compiler nor clang-tidy can express,
+Five invariants that neither the compiler nor clang-tidy can express,
 checked over the working tree (no build needed). Run from anywhere:
 
     python3 tools/sciduction_lint.py
@@ -27,6 +27,12 @@ Invariants
    obs,frontend} must be listed in docs/Doxyfile INPUT and matched by a
    tools/check_headers.sh glob, so new headers cannot dodge the doc
    gates by never being registered.
+5. app-concurrency: the application loops and the layers they build on
+   (src/{core,gametime,hybrid,invgen,ir,ogis}) run one loop each, on the
+   calling thread: none may include substrate/thread_pool.hpp or name
+   thread_pool or parallel_for/_map. Concurrency is chosen by a
+   request's strategy inside the substrate (smt_engine, solve_cnf) and
+   the daemon, so a second, parallel path beside a loop cannot creep back.
 
 Exit status: 0 clean, 1 findings (printed as file:line: [rule] message),
 2 usage/setup error.
@@ -94,6 +100,14 @@ THROW_OK_RE = re.compile(r"lint:\s*throw-ok\(")
 # -- invariant 4: header registration ---------------------------------------
 
 PUBLIC_HEADER_DIRS = ["src/substrate", "src/service", "src/obs", "src/frontend"]
+
+
+# -- invariant 5: application concurrency -----------------------------------
+
+APP_DIRS = ["src/core", "src/gametime", "src/hybrid", "src/invgen", "src/ir", "src/ogis"]
+APP_POOL_NAME_RE = re.compile(r"\b(thread_pool|parallel_(?:for|map))\b")
+# Matched on the raw line: stripping blanks the quoted include path.
+APP_POOL_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"substrate/thread_pool\.hpp"')
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -190,6 +204,21 @@ def lint() -> list[str]:
                        "throw inside the solve_status boundary: return an "
                        "error-status result, or justify with "
                        "`// lint: throw-ok(<why>)` on this or the line above")
+
+    # Invariant 5: no pool in the application loops.
+    for path in source_files(*APP_DIRS):
+        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        code_lines = strip_comments_and_strings("\n".join(raw_lines)).splitlines()
+        for idx, code_line in enumerate(code_lines):
+            if APP_POOL_INCLUDE_RE.search(raw_lines[idx]):
+                report(path, idx + 1, "app-concurrency",
+                       "substrate/thread_pool.hpp included by an application "
+                       "loop; pick concurrency with the request's strategy")
+            m = APP_POOL_NAME_RE.search(code_line)
+            if m:
+                report(path, idx + 1, "app-concurrency",
+                       f"{m.group(0)} in an application loop; pick concurrency "
+                       "with the request's strategy")
 
     # Invariant 4: public headers registered with the doc gates.
     doxyfile = REPO / "docs/Doxyfile"
